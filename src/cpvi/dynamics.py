@@ -2,7 +2,9 @@
 
 Three families of flows live here, all with hand-differentiated
 polynomial gradients (the finite-difference oracle in the test suite is
-the acceptance gate for every one of them):
+the acceptance gate for every one of them).  Each field has one kernel;
+the rhs closures of the first two families build its parameter constants
+once, the public field functions on every call:
 
 * the rank-n coupled Painleve VI system in canonical variables
   (q_1..q_n, p_1..p_n), with time scaled by t(t-1);
@@ -14,15 +16,17 @@ the acceptance gate for every one of them):
   time variable so the sign flips of the source chain are absorbed in
   the coordinate-map checks, not in the fields.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with a cubic
-Hermite continuous extension, complex state support, and movable-pole
-diagnostics (steps collapse near a pole; the abort reports the location
-estimate instead of attempting continuation).
+The integrator is an embedded Dormand-Prince 5(4) pair with complex
+state support, samples at requested times taken at step endpoints (steps
+are shortened to land on them), and movable-pole diagnostics (steps
+collapse near a pole; the abort reports the location estimate instead of
+attempting continuation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,90 +37,95 @@ class IntegrationError(RuntimeError):
     """Adaptive stepping failed (singular point or movable pole)."""
 
 
+def _cvec(v):
+    return np.asarray(v, dtype=complex)
+
+
 # ----------------------------------------------------------------------
 # coupled Painleve VI in canonical variables
 
 
-def _hvi_terms(k0, k1, kt, kap, q, p, t):
-    """Value and q/p-gradients of the quartic one-site Hamiltonian."""
-    val = (q * (q - 1) * (q - t) * p * p
-           - k0 * (q - 1) * (q - t) * p
-           - k1 * q * (q - t) * p
-           - (kt - 1) * q * (q - 1) * p
-           + kap * q)
-    dq = ((3 * q * q - 2 * (1 + t) * q + t) * p * p
-          - k0 * (2 * q - 1 - t) * p
-          - k1 * (2 * q - t) * p
-          - (kt - 1) * (2 * q - 1) * p
-          + kap)
-    dp = (2 * q * (q - 1) * (q - t) * p
-          - k0 * (q - 1) * (q - t)
-          - k1 * q * (q - t)
-          - (kt - 1) * q * (q - 1))
-    return val, dq, dp
+def _cp6_constants(p: ParameterSet):
+    """(K, c0, c1, k0, kappa, a) for each site i = 1..n, as Python complex numbers.
 
-
-def cp6_site_constants(p: ParameterSet, i: int):
-    """The four constants of site i (1-based) of the coupled Hamiltonian."""
-    odd_total = sum(p.alpha[1::2])
-    k0 = complex(odd_total - p.alpha[2 * i - 1] - p.eta)
-    k1 = complex(sum(p.alpha[2 * j] for j in range(0, i)))
-    kt = complex(sum(p.alpha[2 * j] for j in range(i, p.n + 1)))
-    kap = complex(p.alpha[2 * i - 1] * p.eta)
-    return k0, k1, kt, kap
+    With k0 = sum(odd alpha) - alpha_{2i-1} - eta, k1 = alpha_0 + ... +
+    alpha_{2i-2} and kt = alpha_{2i} + ... + alpha_{2n}, the one-site term
+    k0 (q-1)(q-t) p + k1 q(q-t) p + (kt-1) q(q-1) p is (K q^2 - (c0 + c1 t) q + k0 t) p;
+    kappa = alpha_{2i-1} eta and a = alpha_{2i-1}.
+    """
+    eta = complex(p.eta)
+    odd_total = complex(sum(p.alpha[1::2]))
+    even = [complex(v) for v in p.alpha[0::2]]
+    sites = []
+    for i in range(1, p.n + 1):
+        a = complex(p.alpha[2 * i - 1])
+        k0 = odd_total - a - eta
+        k1 = sum(even[:i])
+        kt = sum(even[i:])
+        sites.append((k0 + k1 + kt - 1, k0 + kt - 1, k0 + k1, k0, a * eta, a))
+    return sites
 
 
 def hamiltonian_cp6(p: ParameterSet, q, pm, t):
     """Coupled Hamiltonian: one-site terms plus the pairwise coupling."""
-    q = np.asarray(q, dtype=complex)
-    pm = np.asarray(pm, dtype=complex)
-    n = p.n
-    total = 0.0 + 0.0j
-    for i in range(1, n + 1):
-        val, _, _ = _hvi_terms(*cp6_site_constants(p, i), q[i - 1], pm[i - 1], t)
-        total += val
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            qi, pi = q[i - 1], pm[i - 1]
-            qj, pj = q[j - 1], pm[j - 1]
-            ai = complex(p.alpha[2 * i - 1])
-            aj = complex(p.alpha[2 * j - 1])
-            total += (qi - 1) * (qj - t) * ((qi * pi + ai) * pj + pi * (qj * pj + aj))
+    q, pm = _cvec(q).tolist(), _cvec(pm).tolist()
+    c = _cp6_constants(p)
+    total = 0j
+    for (big_k, c0, c1, k0, kap, _), qi, pi in zip(c, q, pm):
+        total += (qi * (qi - 1) * (qi - t) * pi * pi
+                  - (big_k * qi * qi - (c0 + c1 * t) * qi + k0 * t) * pi + kap * qi)
+    for i in range(p.n):
+        for j in range(i + 1, p.n):
+            total += (q[i] - 1) * (q[j] - t) * ((q[i] * pm[i] + c[i][5]) * pm[j]
+                                                + pm[i] * (q[j] * pm[j] + c[j][5]))
     return total
+
+
+def _cp6_kernel(c, q, pm, t):
+    """(dH/dq, dH/dp) of the coupled Hamiltonian from its site constants.
+
+    Scalar arithmetic on Python complex numbers: at the ranks in use a
+    site costs a few dozen operations, far below numpy's per-call cost.
+    """
+    t = complex(t)
+    q, pm = q.tolist(), pm.tolist()
+    dq, dp = [], []
+    for (big_k, c0, c1, k0, kap, _), qi, pi in zip(c, q, pm):
+        lin = c0 + c1 * t
+        dq.append(((3 * qi - 2 * (1 + t)) * qi + t) * pi * pi - (2 * big_k * qi - lin) * pi + kap)
+        dp.append(2 * qi * (qi - 1) * (qi - t) * pi - ((big_k * qi - lin) * qi + k0 * t))
+    n = len(q)
+    for i in range(n):
+        qi, pi, ai = q[i], pm[i], c[i][5]
+        u = qi - 1
+        for j in range(i + 1, n):
+            qj, pj, aj = q[j], pm[j], c[j][5]
+            v = qj - t
+            bracket = (qi * pi + ai) * pj + pi * (qj * pj + aj)
+            uvp = u * v * pi * pj
+            dq[i] += v * bracket + uvp
+            dq[j] += u * bracket + uvp
+            dp[i] += u * v * (qi * pj + qj * pj + aj)
+            dp[j] += u * v * (qi * pi + ai + pi * qj)
+    return np.array(dq), np.array(dp)
 
 
 def cp6_gradients(p: ParameterSet, q, pm, t):
     """(dH/dq, dH/dp) of the coupled Hamiltonian, in closed form."""
-    q = np.asarray(q, dtype=complex)
-    pm = np.asarray(pm, dtype=complex)
-    n = p.n
-    dq = np.zeros(n, dtype=complex)
-    dp = np.zeros(n, dtype=complex)
-    for i in range(1, n + 1):
-        _, gq, gp = _hvi_terms(*cp6_site_constants(p, i), q[i - 1], pm[i - 1], t)
-        dq[i - 1] += gq
-        dp[i - 1] += gp
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            qi, pi = q[i - 1], pm[i - 1]
-            qj, pj = q[j - 1], pm[j - 1]
-            ai = complex(p.alpha[2 * i - 1])
-            aj = complex(p.alpha[2 * j - 1])
-            bracket = (qi * pi + ai) * pj + pi * (qj * pj + aj)
-            dq[i - 1] += (qj - t) * bracket + (qi - 1) * (qj - t) * pi * pj
-            dq[j - 1] += (qi - 1) * bracket + (qi - 1) * (qj - t) * pi * pj
-            dp[i - 1] += (qi - 1) * (qj - t) * (qi * pj + qj * pj + aj)
-            dp[j - 1] += (qi - 1) * (qj - t) * (qi * pi + ai + pi * qj)
-    return dq, dp
+    return _cp6_kernel(_cp6_constants(p), _cvec(q), _cvec(pm), t)
+
+
+def _cp6_field(c, q, pm, t):
+    if t == 0 or t == 1:
+        raise IntegrationError("the coupled system is singular at t in {0, 1}")
+    dq, dp = _cp6_kernel(c, q, pm, t)
+    s = 1.0 / (t * (t - 1.0))
+    return dp * s, dq * -s
 
 
 def coupled_p6_field(p: ParameterSet, q, pm, t):
     """(dq/dt, dp/dt): the canonical field divided by t(t-1)."""
-    if t == 0 or t == 1:
-        raise IntegrationError("the coupled system is singular at t in {0, 1}")
-    dq, dp = cp6_gradients(p, q, pm, t)
-    s = t * (t - 1.0)
-    return dp / s, -dq / s
+    return _cp6_field(_cp6_constants(p), _cvec(q), _cvec(pm), t)
 
 
 def riccati_rhs(p: ParameterSet, q, t):
@@ -137,8 +146,8 @@ def _window_weights(p: ParameterSet):
 
 
 def hamiltonian_symmetric(p: ParameterSet, x, y, t):
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x = _cvec(x)
+    y = _cvec(y)
     big, odd = _window_weights(p)
     s = x * (x * y + odd)                     # s_i = x_i (x_i y_i + alpha_{2i+1})
     ybelow = np.concatenate(([0.0], np.cumsum(y)[:-1]))
@@ -147,34 +156,40 @@ def hamiltonian_symmetric(p: ParameterSet, x, y, t):
     return part_t / t + part_1 / (1.0 - t)
 
 
+def _symmetric_field(c, x, y, t):
+    """(dx/dt, dy/dt) = (dH/dy, -dH/dx) of the symmetric system from its window weights."""
+    if t == 0 or t == 1:
+        raise IntegrationError("the symmetric system is singular at t in {0, 1}")
+    big, odd = c
+    xy = x * y
+    w = xy + odd
+    s = x * w                                 # s_i = x_i (x_i y_i + alpha_{2i+1})
+    w += xy                                   # 2 x_i y_i + alpha_{2i+1}
+    cy = y.cumsum()                           # ybelow = cy - y
+    cs = s.cumsum()                           # stail = stot - cs
+    ytot, stot = cy[-1], cs[-1]
+    xx = x * x
+    it = 1.0 / t
+    iu = 1.0 / (1.0 - t)
+    dy = (xx * cy - big * x + stot - cs) * it + (stot + ytot * xx) * iu
+    dx = ((xy - big) * y + w * (cy - y)) * it + w * (ytot * iu)
+    return dy, -dx
+
+
 def symmetric_gradients(p: ParameterSet, x, y, t):
     """(dH/dx, dH/dy) of the symmetric Hamiltonian, in closed form."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    big, odd = _window_weights(p)
-    s = x * (x * y + odd)
-    ybelow = np.concatenate(([0.0], np.cumsum(y)[:-1]))
-    stail = np.concatenate((np.cumsum(s[::-1])[::-1][1:], [0.0]))  # sum_{j>i} s_j
-    ytot = np.sum(y)
-    stot = np.sum(s)
-    dy = (x * x * y - big * x + stail + x * x * ybelow) / t \
-        + (stot + x * x * ytot) / (1.0 - t)
-    dx = (x * y * y - big * y + (2 * x * y + odd) * ybelow) / t \
-        + (2 * x * y + odd) * ytot / (1.0 - t)
-    return dx, dy
+    fx, fy = symmetric_field(p, x, y, t)
+    return -fy, fx
 
 
 def symmetric_field(p: ParameterSet, x, y, t):
-    if t == 0 or t == 1:
-        raise IntegrationError("the symmetric system is singular at t in {0, 1}")
-    dx, dy = symmetric_gradients(p, x, y, t)
-    return dy, -dx
+    return _symmetric_field(_window_weights(p), _cvec(x), _cvec(y), t)
 
 
 def hamiltonian_degenerate(p: ParameterSet, x, y, t):
     """Level-r confluent Hamiltonian (the value of H, not t H)."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x = _cvec(x)
+    y = _cvec(y)
     r = p.degeneracy
     big, odd = _window_weights(p)
     s = x * (x * y + odd)
@@ -185,36 +200,50 @@ def hamiltonian_degenerate(p: ParameterSet, x, y, t):
     return th / t
 
 
-def degenerate_gradients(p: ParameterSet, x, y, t):
-    """(d(tH)/dx, d(tH)/dy) of the level-r Hamiltonian."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    n, r = p.n, p.degeneracy
+def _degenerate_constants(p: ParameterSet):
+    """Window weights, the level r and the 0/1 mask of the active sites i >= r-1."""
+    r = p.degeneracy
+    if not 1 <= r <= p.n + 1:
+        raise ValueError("degenerate_field needs a parameter set of level 1..n+1")
     big, odd = _window_weights(p)
-    s = x * (x * y + odd)
-    stail = np.concatenate((np.cumsum(s[::-1])[::-1][1:], [0.0]))
-    # cumulative sum of y over the active sites r-1 <= i < k
-    yact = np.zeros(n + 1, dtype=complex)
-    acc = 0.0 + 0.0j
-    for k in range(r - 1, n + 1):
-        yact[k] = acc
-        acc += y[k]
-    dty = x * x * y - big * x + x * x * yact
+    return big, odd, r, (np.arange(p.n + 1) >= r - 1).astype(float)
+
+
+def _degenerate_kernel(c, x, y, t):
+    """(d(tH)/dx, d(tH)/dy) of the level-r Hamiltonian from its constants."""
+    big, odd, r, act = c
+    xy = x * y
+    w = xy + odd
+    s = x * w
+    w += xy
+    ya = y * act
+    cya = ya.cumsum()
+    yact = cya - ya                           # sum of y over active sites r-1 <= i < k
+    cs = s.cumsum()                           # stail = cs[-1] - cs
+    xx = x * x
+    dty = xx * (y + yact) - big * x + act * (t * x[0] + cs[-1] - cs)
     dty[: r - 1] += x[1:r]
-    dty[r - 1:] += t * x[0] + stail[r - 1:]
-    dtx = x * y * y - big * y + (2 * x * y + odd) * yact
+    dtx = (xy - big) * y + w * yact
     dtx[1:r] += y[: r - 1]
-    dtx[0] += t * np.sum(y[r - 1:])
+    dtx[0] += t * cya[-1]
     return dtx, dty
 
 
-def degenerate_field(p: ParameterSet, x, y, t):
+def degenerate_gradients(p: ParameterSet, x, y, t):
+    """(d(tH)/dx, d(tH)/dy) of the level-r Hamiltonian."""
+    return _degenerate_kernel(_degenerate_constants(p), _cvec(x), _cvec(y), t)
+
+
+def _degenerate_field(c, x, y, t):
     if t == 0:
         raise IntegrationError("the confluent system is singular at t = 0")
-    if not 1 <= p.degeneracy <= p.n + 1:
-        raise ValueError("degenerate_field needs a parameter set of level 1..n+1")
-    dtx, dty = degenerate_gradients(p, x, y, t)
-    return dty / t, -dtx / t
+    dtx, dty = _degenerate_kernel(c, x, y, t)
+    it = 1.0 / t
+    return dty * it, dtx * -it
+
+
+def degenerate_field(p: ParameterSet, x, y, t):
+    return _degenerate_field(_degenerate_constants(p), _cvec(x), _cvec(y), t)
 
 
 def constraint_value(x, y, eta):
@@ -454,7 +483,7 @@ def riccati_residual(p: ParameterSet, q, dq, t):
 # ----------------------------------------------------------------------
 # adaptive integration
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = [
     np.array([]),
     np.array([1 / 5]),
@@ -465,8 +494,8 @@ _DP_A = [
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,  # minus 4th order
+                           -92097 / 339200, 187 / 2100, 1 / 40])
 
 _MAX_STATE = 1e10
 _SAFETY = 0.9
@@ -488,19 +517,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, ts):
-    h = t1 - t0
-    out = np.empty((len(ts), len(y0)), dtype=complex)
-    for row, t in enumerate(ts):
-        th = (t - t0) / h
-        h00 = (1 + 2 * th) * (1 - th) ** 2
-        h10 = th * (1 - th) ** 2
-        h01 = th * th * (3 - 2 * th)
-        h11 = th * th * (th - 1)
-        out[row] = h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
-    return out
-
-
 def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
               dense_ts=None, max_steps=200_000, fixed_step=None,
               max_step=None) -> Trajectory:
@@ -508,10 +524,13 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
 
     Local error per step is held below atol + rtol * |state| componentwise.
     ``dense_ts`` requests samples at given times (monotone, inside
-    [t0, t1]); steps are clamped to land on them, so samples carry the
-    full step accuracy (cubic Hermite only backstops skipped points).
-    Otherwise the accepted step points are returned.  ``fixed_step``
-    disables adaptivity (used by order studies).
+    [t0, t1]).  A step that would pass the next sample time is shortened
+    to end on it, and an accepted shortened step leaves the step-size
+    proposal as it was, so the samples cost no rejected steps.  Every
+    sample is then the state at a step endpoint, with the full step
+    accuracy; a sample time within rounding of the current time takes
+    the current state.  Without ``dense_ts`` the accepted step points are
+    returned.  ``fixed_step`` disables adaptivity (used by order studies).
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
@@ -520,8 +539,7 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
     direction = 1.0 if t1 >= t0 else -1.0
     span = abs(t1 - t0)
     if span == 0:
-        pts = np.array([t0])
-        return Trajectory(pts, y[None, :].copy(), 0, 0)
+        return Trajectory(np.array([t0]), y[None, :], 0, 0)
 
     f = np.asarray(field(t, y), dtype=complex)
     if fixed_step is not None:
@@ -533,69 +551,65 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
         h = min(span / 10.0, 0.01 * d0 / d1 if d1 > 0 else span / 10.0)
         h = max(h, span * 1e-10)
 
-    dense = None
-    dense_idx = 0
+    end_tol = 1e-14 * max(1.0, abs(t1))
     if dense_ts is not None:
         dense = np.asarray(dense_ts, dtype=float)
+        ahead = (dense - t) * direction
+        if np.any(np.diff(ahead) < 0) or np.any(abs(ahead - span / 2) > span / 2 + end_tol):
+            raise ValueError("dense_ts must be monotone and inside [t0, t1]")
         out_states = np.empty((len(dense), len(y)), dtype=complex)
-        if len(dense) and dense[0] == t:
-            out_states[0] = y
-            dense_idx = 1
+        dense_idx = 0
     else:
         step_ts = [t]
-        step_states = [y.copy()]
+        step_states = [y]
     if max_step is None:
         max_step = span
 
     steps = rejected = 0
     K = np.empty((7, len(y)), dtype=complex)
-    end_tol = 1e-14 * max(1.0, abs(t1))
-    while (t1 - t) * direction > end_tol:
+    while True:
+        if dense_ts is not None:
+            while dense_idx < len(dense) and (dense[dense_idx] - t) * direction <= end_tol:
+                out_states[dense_idx] = y
+                dense_idx += 1
+        if (t1 - t) * direction <= end_tol:
+            break
         if steps + rejected > max_steps:
             raise IntegrationError(f"step budget exhausted near t = {t:.6g}")
-        if np.max(np.abs(y)) > _MAX_STATE:
+        if np.abs(y).max() > _MAX_STATE:
             raise IntegrationError(f"state blow-up near t = {t:.6g} (movable pole?)")
         h_step = min(h, abs(t1 - t), max_step)
-        if dense is not None and dense_idx < len(dense):
-            gap = abs(dense[dense_idx] - t)
-            if gap > end_tol:
-                h_step = min(h_step, gap)
+        if dense_ts is not None and dense_idx < len(dense):
+            h_step = min(h_step, abs(dense[dense_idx] - t))
         if h_step < 1e-13 * max(1.0, abs(t)):
             raise IntegrationError(
                 f"step size underflow near t = {t:.6g} (movable pole or singular point)")
         ht = h_step * direction
         K[0] = f
         for s in range(1, 7):
-            ys = y + ht * (K[:s].T @ _DP_A[s])
-            K[s] = field(t + _DP_C[s] * ht, ys)
-        y5 = y + ht * (K.T @ _DP_B5)
-        err_vec = ht * (K.T @ (_DP_B5 - _DP_B4))
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = np.sqrt(np.mean(np.abs(err_vec / scale) ** 2))
-        if fixed_step is not None or err <= 1.0:
-            t_new = t + ht
-            f_new = K[6].copy()  # FSAL stage equals field(t_new, y5)
-            if dense is not None:
-                upper = dense_idx
-                while upper < len(dense) and (dense[upper] - t_new) * direction <= 0:
-                    upper += 1
-                if upper > dense_idx:
-                    out_states[dense_idx:upper] = _hermite(
-                        t, y, K[0], t_new, y5, f_new, dense[dense_idx:upper])
-                    dense_idx = upper
-            else:
-                step_ts.append(t_new)
-                step_states.append(y5.copy())
-            t, y, f = t_new, y5, f_new
+            K[s] = field(t + _DP_C[s] * ht, y + ht * np.dot(_DP_A[s], K[:s]))
+        y5 = y + ht * np.dot(_DP_B5, K)
+        err_vec = ht * np.dot(_DP_E, K)
+        r = err_vec / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
+        err = np.sqrt(np.vdot(r, r).real / len(r))
+        accepted = fixed_step is not None or err <= 1.0
+        if accepted:
+            t += ht
+            y = y5
+            f = K[6].copy()  # FSAL stage equals field(t, y5)
+            if dense_ts is None:
+                step_ts.append(t)
+                step_states.append(y)
             steps += 1
         else:
             rejected += 1
-        if fixed_step is None:
+        # an accepted step shortened below h says nothing about h itself
+        if fixed_step is None and not (accepted and h_step < h):
             factor = _SAFETY * err ** -0.2 if err > 0 else _MAX_FACTOR
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
-    if dense is not None:
-        # endpoint samples within rounding of t1 take the final state
+    if dense_ts is not None:
+        # sample times past t1 by rounding take the final state
         out_states[dense_idx:] = y
         return Trajectory(dense.copy(), out_states, steps, rejected)
     return Trajectory(np.array(step_ts), np.array(step_states), steps, rejected)
@@ -604,44 +618,29 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
 # flat-vector adapters ---------------------------------------------------
 
 
-def symmetric_rhs(p: ParameterSet):
-    n = p.n
+def _flat(field, m):
+    """rhs(t, v) of a field(a, b, t) -> (da/dt, db/dt) on the flat state v = (a, b), len(a) = m."""
 
     def rhs(t, v):
-        dx, dy = symmetric_field(p, v[: n + 1], v[n + 1:], t)
-        return np.concatenate((dx, dy))
+        return np.concatenate(field(v[:m], v[m:], t))
 
     return rhs
+
+
+def symmetric_rhs(p: ParameterSet):
+    return _flat(partial(_symmetric_field, _window_weights(p)), p.n + 1)
 
 
 def degenerate_rhs(p: ParameterSet):
-    n = p.n
-
-    def rhs(t, v):
-        dx, dy = degenerate_field(p, v[: n + 1], v[n + 1:], t)
-        return np.concatenate((dx, dy))
-
-    return rhs
+    return _flat(partial(_degenerate_field, _degenerate_constants(p)), p.n + 1)
 
 
 def cp6_rhs(p: ParameterSet):
-    n = p.n
-
-    def rhs(t, v):
-        dq, dp = coupled_p6_field(p, v[:n], v[n:], t)
-        return np.concatenate((dq, dp))
-
-    return rhs
+    return _flat(partial(_cp6_field, _cp6_constants(p)), p.n)
 
 
 def appendix_rhs(which: str, p: ParameterSet):
-    n = APPENDIX_SOURCE[which][0]
-
-    def rhs(t, v):
-        dq, dp = appendix_a_field(which, p, v[:n], v[n:], t)
-        return np.concatenate((dq, dp))
-
-    return rhs
+    return _flat(partial(appendix_a_field, which, p), APPENDIX_SOURCE[which][0])
 
 
 def linear_rhs(sys):

@@ -54,11 +54,22 @@ class ParameterSet:
         if not 0 <= self.degeneracy <= self.n + 1:
             raise ValueError(f"confluence level {self.degeneracy} out of range 0..{self.n + 1}")
         total = sum(self.alpha, self.alpha[0] * 0)
-        if abs(complex(total) - 1.0) > SUM_TOL:
+        if not self._negligible(complex(total) - 1.0):
             raise ValueError(f"alpha sum {total!r} violates the normalisation sum(alpha) = 1")
         for i in range(self.degeneracy):
-            if abs(complex(self.alpha[2 * i])) > SUM_TOL:
+            if not self._negligible(complex(self.alpha[2 * i])):
                 raise ValueError(f"level-{self.degeneracy} set needs alpha_{2 * i} = 0")
+
+    def _negligible(self, z) -> bool:
+        """Whether |z| <= SUM_TOL * max(1, max|alpha|), rounding level at the set's scale.
+
+        Entries of size 1/eps (``degenerate_replace``) carry rounding errors
+        of that size.  The scale is computed only when the absolute test
+        fails, so unit-scale sets pay nothing for it.
+        """
+        if abs(z) <= SUM_TOL:
+            return True
+        return abs(z) <= SUM_TOL * max(1.0, max(abs(complex(a)) for a in self.alpha))
 
     # -- cyclic access -------------------------------------------------
 

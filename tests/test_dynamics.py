@@ -404,6 +404,22 @@ class TestIntegrator:
         for i, t in enumerate(ts):
             assert np.linalg.norm(traj.states[i] - sol.value(t)) < 1e-8
 
+    @pytest.mark.parametrize("seed", [2, 9])
+    def test_samples_cost_no_rejected_steps(self, seed):
+        # a step shortened onto a sample must not drive the step-size control
+        p = sample_generic(3, seed=5)
+        x, y = constrained_state(p, np.random.default_rng(seed), spread=0.6)
+        ts = np.linspace(0.3, 0.5, 11)
+        sampled = integrate(symmetric_rhs(p), np.concatenate((x, y)), 0.3, 0.5, dense_ts=ts)
+        free = integrate(symmetric_rhs(p), np.concatenate((x, y)), 0.3, 0.5)
+        assert sampled.rejected <= 2
+        assert sampled.steps <= free.steps + len(ts)
+
+    @pytest.mark.parametrize("ts", [[0.2, 0.4], [0.4, 0.9], [0.3, 0.45, 0.4]])
+    def test_samples_outside_the_span_rejected(self, ts):
+        with pytest.raises(ValueError, match="dense_ts"):
+            integrate(lambda t, y: y, np.array([1.0 + 0j]), 0.3, 0.5, dense_ts=ts)
+
     def test_movable_pole_reported_with_location(self):
         with pytest.raises(IntegrationError, match="t = "):
             integrate(lambda t, y: y * y, np.array([1.0 + 0j]), 0.0, 2.0)
@@ -416,3 +432,54 @@ class TestIntegrator:
                          rtol=1e-10, atol=1e-12)
         drift = [abs(np.sum(s[:3] * s[3:]) + complex(p.eta)) for s in traj.states]
         assert max(drift) < 1e-8
+
+
+ADAPTER_CASES = ([("symmetric", n, 0) for n in (1, 2, 3)]
+                 + [("degenerate", n, r) for n, r in ((1, 1), (1, 2), (2, 2), (3, 1), (3, 4))]
+                 + [("cp6", n, 0) for n in (1, 2, 3)]
+                 + [(which, *APPENDIX_SOURCE[which][:2]) for which in APPENDIX_SYSTEMS])
+
+
+def adapter_case(kind, n, r):
+    """(rhs closure, public field f(a, b, t), len(a), times where the field is singular)."""
+    if kind == "symmetric":
+        p = sample_generic(n, seed=60 + n)
+        return symmetric_rhs(p), lambda a, b, t: symmetric_field(p, a, b, t), n + 1, (0.0, 1.0)
+    if kind == "degenerate":
+        p = sample_degenerate(n, r, seed=60 + n + r)
+        return degenerate_rhs(p), lambda a, b, t: degenerate_field(p, a, b, t), n + 1, (0.0,)
+    if kind == "cp6":
+        p = sample_generic(n, seed=60 + n)
+        return cp6_rhs(p), lambda a, b, t: coupled_p6_field(p, a, b, t), n, (0.0, 1.0)
+    p = sample_degenerate(n, r, seed=66)
+    return (appendix_rhs(kind, p), lambda a, b, t: appendix_a_field(kind, p, a, b, t), n,
+            (0.0,))
+
+
+class TestFlatAdapters:
+    @pytest.mark.parametrize("kind,n,r", ADAPTER_CASES)
+    def test_adapter_matches_public_field(self, kind, n, r):
+        rhs, field, m, singular = adapter_case(kind, n, r)
+        rng = np.random.default_rng(90 + 10 * n + r)
+        for _ in range(5):
+            v = rng.uniform(-1.5, 1.5, 2 * m) + 1j * rng.uniform(-0.5, 0.5, 2 * m)
+            t = rng.uniform(0.15, 0.85)
+            want = np.concatenate(field(v[:m], v[m:], t))
+            assert np.linalg.norm(rhs(t, v) - want) <= 1e-14 * np.linalg.norm(want)
+        for t in singular:
+            with pytest.raises(IntegrationError):
+                rhs(t, v)
+
+    def test_linear_adapter_matches_coefficient_matrix(self):
+        sys = build_fuchsian(sample_generic(2, seed=61))
+        rng = np.random.default_rng(91)
+        v = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        want = sys.coefficient(0.4) @ v
+        assert np.linalg.norm(linear_rhs(sys)(0.4, v) - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_confluent_adapter_rejects_generic_set(self):
+        p = sample_generic(2, seed=62)
+        with pytest.raises(ValueError):
+            degenerate_rhs(p)(0.5, np.ones(6, dtype=complex))
+        with pytest.raises(ValueError):
+            degenerate_field(p, np.ones(3), np.ones(3), 0.5)

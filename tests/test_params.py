@@ -63,6 +63,19 @@ class TestInvariants:
             make_set([0.1, 0.2, 0.3, 0.4], degeneracy=1)
         make_set([0.0, 0.3, 0.3, 0.4], degeneracy=1)  # fine
 
+    def test_unit_scale_sets_keep_the_absolute_tolerance(self):
+        with pytest.raises(ValueError):
+            make_set([0.1, 0.2, 0.3, 0.4 + 1e-9])
+        with pytest.raises(ValueError):
+            make_set([1e-9, 0.2, 0.3, 0.5 - 1e-9], degeneracy=1)
+
+    def test_tolerance_scales_with_the_largest_entry(self):
+        big = 1e8
+        make_set([-big, big + 0.3 + 1e-9, 0.3, 0.4])   # rounding level at scale 1e8
+        make_set([1e-9, 0.3 - 1e-9 - big, 0.3 + big, 0.4], degeneracy=1)
+        with pytest.raises(ValueError):
+            make_set([-big, big + 0.3 + 1e-2, 0.3, 0.4])
+
     def test_shift_relabels_cyclically(self):
         p = make_set([0.1, 0.2, 0.3, 0.4])
         q = p.shifted(3)
@@ -121,6 +134,16 @@ class TestDegenerateReplace:
         assert abs(sum(q.alpha) - sum(p.alpha)) < 1e-9
         assert q.alpha[2] == -1000
         assert abs(q.alpha[3] - (p.alpha[3] + 1000)) < 1e-9
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-8])
+    @pytest.mark.parametrize("n,r,seed", [(1, 1, 0), (2, 2, 1), (3, 1, 2), (3, 3, 4)])
+    def test_small_eps(self, n, r, seed, eps):
+        # the inserted entries of size 1/eps round sum(alpha) at that scale,
+        # far above an absolute 1e-12
+        p = sample_degenerate(n, r, seed=seed).with_degeneracy(r - 1)
+        q = degenerate_replace(p, eps)
+        assert q.alpha[2 * r - 2] == -1 / eps
+        assert abs(sum(q.alpha) - 1) <= 1e-12 / eps
 
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError):
