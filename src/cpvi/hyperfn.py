@@ -15,6 +15,7 @@ summed for comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,24 +216,29 @@ def operator_residual(spec: HGSpec, coeffs, t: complex, exponent: complex = 0.0)
     the largest retained monomial entering it.  Exact formal solutions give
     rounding-level values; the overflow monomial beyond the truncation
     order is deliberately not charged to the residual.
+
+    P and Q are evaluated on all degrees at once and the image is summed
+    with ``math.fsum`` on its real and imaginary parts, so the sum is
+    correctly rounded whatever the cancellation.
     """
+    c = np.asarray(coeffs, dtype=complex)
+    if c.size == 0:
+        return 0.0
     P, Q = _operator_polys(spec)
-    t = complex(t)
-    rho = complex(exponent)
-    acc = _CompensatedSum()
-    scale = 0.0
-    prev = 0.0 + 0.0j
-    tpow = 1.0 + 0.0j
-    for i, c in enumerate(coeffs):
-        lead = P(rho + i) * c
-        lag = Q(rho + i - 1) * prev
-        acc.add((lead - lag) * tpow)
-        scale = max(scale, abs(lead * tpow), abs(lag * tpow))
-        prev = c
-        tpow *= t
+    s = complex(exponent) + np.arange(c.size)
+    lead = P(s) * c
+    lag = np.zeros_like(c)
+    lag[1:] = Q(s[1:] - 1) * c[:-1]
+    tpow = np.full(c.size, complex(t))
+    tpow[0] = 1.0
+    tpow = tpow.cumprod()
+    lead *= tpow
+    lag *= tpow
+    scale = max(np.max(np.abs(lead)), np.max(np.abs(lag)))
     if scale == 0.0:
         return 0.0
-    return abs(acc.value) / scale
+    image = lead - lag
+    return abs(complex(math.fsum(image.real), math.fsum(image.imag))) / scale
 
 
 def ode_residual(spec: HGSpec, t: complex, rtol: float = 1e-12) -> float:

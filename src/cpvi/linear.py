@@ -30,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperfn import HGSpec, pochhammer, series_coefficients, operator_residual
+from .hyperfn import HGSpec, series_coefficients, operator_residual
 from .params import ParameterSet
 
 
@@ -206,6 +206,14 @@ def gauge_matrix(p: ParameterSet, k: int, t: complex) -> np.ndarray:
 # series solutions
 
 
+def _require_nonzero(v, what, row=None):
+    """Raise ResonanceError if v vanishes: exactly for a Fraction, below
+    ``_PIVOT_FLOOR`` in modulus otherwise."""
+    if (v == 0) if isinstance(v, Fraction) else (abs(complex(v)) < _PIVOT_FLOOR):
+        where = "" if row is None else f" at row {row}"
+        raise ResonanceError(f"vanishing {what}{where}")
+
+
 def _upper_solve(rows, rhs, pivot_shift):
     """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A."""
     m = len(rows)
@@ -215,11 +223,7 @@ def _upper_solve(rows, rhs, pivot_shift):
         for j in range(i + 1, m):
             acc = acc - rows[i][j] * v[j]
         pivot = rows[i][i] + pivot_shift
-        if isinstance(pivot, Fraction):
-            if pivot == 0:
-                raise ResonanceError(f"singular recurrence pivot at row {i}")
-        elif abs(complex(pivot)) < _PIVOT_FLOOR:
-            raise ResonanceError(f"singular recurrence pivot at row {i}")
+        _require_nonzero(pivot, "recurrence pivot", i)
         v[i] = acc / pivot
     return v
 
@@ -234,13 +238,8 @@ def _kernel_last_one(rows):
         acc = rows[0][0] * 0
         for j in range(i + 1, m):
             acc = acc + rows[i][j] * v[j]
-        pivot = rows[i][i]
-        if isinstance(pivot, Fraction):
-            if pivot == 0:
-                raise ResonanceError(f"zero diagonal at row {i}: kernel not one-dimensional")
-        elif abs(complex(pivot)) < _PIVOT_FLOOR:
-            raise ResonanceError(f"zero diagonal at row {i}: kernel not one-dimensional")
-        v[i] = -acc / pivot
+        _require_nonzero(rows[i][i], "diagonal entry (kernel not one-dimensional)", i)
+        v[i] = -acc / rows[i][i]
     return v
 
 
@@ -253,13 +252,17 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     """
     n = p.n
     A0, A1 = _fuchsian_matrices(p, shift=2 * k + 2)
+    # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
+    step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
+             for col in range(n + 1)] for row in range(n + 1)]
     vecs = [_kernel_last_one(A0)]
     for i in range(depth):
+        prev = vecs[i]
         rhs = []
-        for row in range(n + 1):
-            acc = (-i) * vecs[i][row]
-            for col in range(n + 1):
-                acc = acc + (A0[row][col] - A1[row][col]) * vecs[i][col]
+        for row, coeffs in enumerate(step):
+            acc = (-i) * prev[row]
+            for a, x in zip(coeffs, prev):
+                acc = acc + a * x
             rhs.append(acc)
         vecs.append(_upper_solve(A0, rhs, -(i + 1)))
     return vecs
@@ -277,36 +280,45 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
     2k-2j+1, 2k-2j, 2k+2j+3 and 2k+2j+2 of lengths 2j+1, 2j+2, 2n-2j+1
     and 2n-2j+2 terms; the j = 0 tail denominator is the full-period sum 1,
     whose rising factorial is the hypergeometric factorial.
+
+    The ratios are carried as running products (the hypergeometric term
+    ratio): one per head window, (u_j)_{i+1} / (v_j)_{i+1}, and one per
+    tail window, (s_j)_i / (r_j)_i, each advanced by a single factor per
+    depth step.  Component m is then the prefix product of the first n-m
+    head ratios times that of the first m+1 tail ratios, so the cost is
+    O(depth * n) products instead of rebuilding every rising factorial.
+    Each denominator factor is checked for resonance; over Fractions the
+    vectors are exact.
     """
     n = p.n
+    one = p.alpha[0] * 0 + 1
     heads_num = [p.partial_sum(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
     heads_den = [p.partial_sum(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
     tails_num = [p.partial_sum(2 * k + 2 * j + 3, 2 * n - 2 * j) for j in range(n + 1)]
     tails_den = [p.partial_sum(2 * k + 2 * j + 2, 2 * n - 2 * j + 1) for j in range(n + 1)]
+    heads = [one] * n
+    tails = [one] * (n + 1)
     vecs = []
     for i in range(depth + 1):
+        for j in range(n):
+            den = heads_den[j] + i
+            _require_nonzero(den, "head window rising factorial")
+            heads[j] = heads[j] * (heads_num[j] + i) / den
+        if i:
+            for j in range(n + 1):
+                den = tails_den[j] + (i - 1)
+                _require_nonzero(den, "tail window rising factorial")
+                tails[j] = tails[j] * (tails_num[j] + (i - 1)) / den
+        head_prefix = [one]
+        for h in heads:
+            head_prefix.append(head_prefix[-1] * h)
         vec = []
+        tail_prefix = one
         for m in range(n + 1):
-            val = p.alpha[0] * 0 + 1
-            for j in range(n - m):
-                den = pochhammer(heads_den[j], i + 1)
-                _require_nonzero(den, "head window")
-                val = val * pochhammer(heads_num[j], i + 1) / den
-            for j in range(m + 1):
-                den = pochhammer(tails_den[j], i)
-                _require_nonzero(den, "tail window")
-                val = val * pochhammer(tails_num[j], i) / den
-            vec.append(val)
+            tail_prefix = tail_prefix * tails[m]
+            vec.append(head_prefix[n - m] * tail_prefix)
         vecs.append(vec)
     return vecs
-
-
-def _require_nonzero(v, what):
-    if isinstance(v, Fraction):
-        if v == 0:
-            raise ResonanceError(f"vanishing {what} rising factorial")
-    elif abs(complex(v)) < _PIVOT_FLOOR:
-        raise ResonanceError(f"vanishing {what} rising factorial")
 
 
 @dataclass(frozen=True)
@@ -420,7 +432,7 @@ def branch_spec(p: ParameterSet, k: int, l: int):
     pref = 1.0 + 0.0j
     for i in range(1, l + 1):
         den = complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1))
-        _require_nonzero(den, "prefactor")
+        _require_nonzero(den, "prefactor window sum")
         pref *= complex(p.partial_sum(2 * k - 2 * i + 3, 2 * i - 2)) / den
     upper = [complex(p.partial_sum(2 * k - 2 * n + 1, 2 * n))]
     lower = []
@@ -453,7 +465,7 @@ def confluent_branch_spec(p: ParameterSet, k: int, l: int):
     pref = 1.0 + 0.0j
     for i in range(1, l + 1):
         den = complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1))
-        _require_nonzero(den, "prefactor")
+        _require_nonzero(den, "prefactor window sum")
         pref /= den
         if (k - i + 1) % (n + 1) >= r:
             pref *= complex(p.partial_sum(2 * k - 2 * i + 3, 2 * i - 2))
@@ -577,15 +589,13 @@ def recurrence_residual(sys: LinearSystem, sol: SeriesSolution) -> float:
     u = sol.original_coeffs()
     rho = complex(sol.exponent)
     A0, A1 = sys.A0, sys.A1
-    ident = np.eye(sys.n + 1)
-    worst = np.linalg.norm((A0 - rho * ident) @ u[0], ord=np.inf)
-    for j in range(1, u.shape[0]):
-        lhs = (A0 - (rho + j) * ident) @ u[j]
-        if sys.kind == "fuchsian":
-            rhs = (A0 - A1 - (rho + j - 1) * ident) @ u[j - 1]
-        else:
-            rhs = -A1 @ u[j - 1]
-        worst = max(worst, np.linalg.norm(lhs - rhs, ord=np.inf))
+    shifts = (rho + np.arange(u.shape[0]))[:, None]
+    defect = u @ A0.T - shifts * u
+    if sys.kind == "fuchsian":
+        defect[1:] -= u[:-1] @ (A0 - A1).T - shifts[:-1] * u[:-1]
+    else:
+        defect[1:] += u[:-1] @ A1.T
+    worst = np.max(np.abs(defect))
     scale = np.max(np.abs(u)) * max(1.0, u.shape[0] + abs(rho))
     return float(worst / scale) if scale > 0 else float(worst)
 

@@ -1,9 +1,13 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cpvi.hyperfn import HGSpec, eval_series
 from cpvi.linear import (
     LinearSystem,
+    ResonanceError,
     branch_exponent,
     branch_spec,
     build_confluent,
@@ -236,6 +240,65 @@ class TestRecurrence:
         for k in range(4):
             vecs = closed_form_vectors(p, k, 0)
             assert vecs[0][-1] == 1
+
+
+def _set_with_window(n, start, length, value, inside, outside, seed=5):
+    """Rational set whose window sum alpha_start..alpha_{start+length} is
+    ``value``: entry ``inside`` of the window takes up the difference and
+    entry ``outside`` restores sum(alpha) = 1."""
+    alpha = list(sample_rational_generic(n, seed).alpha)
+    m = 2 * n + 2
+    window = [(start + i) % m for i in range(length + 1)]
+    assert inside in window and outside not in window
+    alpha[inside] += value - sum(alpha[i] for i in window)
+    alpha[outside] += 1 - sum(alpha)
+    return ParameterSet(n, tuple(alpha), Fraction(0), 0)
+
+
+class TestResonance:
+    # For n = 2, k = 0 the window alpha_0 + alpha_1 is the head denominator
+    # v_0, the tail denominator r_2 and minus the gauge diagonal entry of
+    # row 1; alpha_4 + ... + alpha_1 is v_1, r_1 and minus that of row 0.
+    # A window sum -d makes a rising factorial vanish from order d + 1 and
+    # a recurrence pivot (the kernel's diagonal for d = 0) vanish at step d.
+    @pytest.mark.parametrize("start,length,row", [(0, 1, 1), (4, 3, 0)])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_nonpositive_integer_window_raises(self, start, length, row, d):
+        p = _set_with_window(2, start, length, Fraction(-d), inside=1, outside=3)
+        assert p.partial_sum(start, length) == -d
+        with pytest.raises(ResonanceError, match="head window"):
+            closed_form_vectors(p, 0, d)
+        with pytest.raises(ResonanceError, match=f"row {row}"):
+            recurrence_vectors(p, 0, d)
+        if d:
+            assert closed_form_vectors(p, 0, d - 1) == recurrence_vectors(p, 0, d - 1)
+
+
+def _perturb_largest(sol, rel=1e-6):
+    """Copy of sol with its largest coefficient in rows 1..19 scaled by 1 + rel."""
+    coeffs = sol.coeffs.copy()
+    row, col = np.unravel_index(np.argmax(np.abs(coeffs[1:20])), coeffs[1:20].shape)
+    coeffs[1 + row, col] *= 1.0 + rel
+    return dataclasses.replace(sol, coeffs=coeffs)
+
+
+class TestResidualSensitivity:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generic_perturbation_detected(self, n):
+        p = sample_generic(n, seed=130 + n)
+        sys = build_fuchsian(p)
+        for k in range(n + 1):
+            bad = _perturb_largest(fundamental_solution(p, k, depth=60))
+            assert recurrence_residual(sys, bad) > 1e-10
+            assert component_operator_residual(p, bad, 0.4) > 1e-8
+
+    @pytest.mark.parametrize("n,r", [(1, 1), (2, 3), (3, 4)])
+    def test_confluent_perturbation_detected(self, n, r):
+        p = sample_degenerate(n, r, seed=200 + 10 * n + r)
+        sys = build_confluent(p)
+        for k in range(n + 1):
+            bad = _perturb_largest(confluent_fundamental_solution(p, k, depth=60))
+            assert recurrence_residual(sys, bad) > 1e-10
 
 
 class TestFundamentalSolutions:
