@@ -37,6 +37,9 @@ class IntegrationError(RuntimeError):
     """Adaptive stepping failed (singular point or movable pole)."""
 
 
+_FD_STEP = 1e-5
+
+
 def _cvec(v):
     return np.asarray(v, dtype=complex)
 
@@ -416,34 +419,40 @@ def appendix_a_map(which: str, p: ParameterSet, x, y):
     raise ValueError(f"unknown canonical system {which!r}")
 
 
-def pushforward_field(map_fn, field, x, y, t, h=1e-5, flip=False):
+def state_partials(f, x, y):
+    """Central-difference partials (df/dx_i, df/dy_i) of a state function.
+
+    f(x, y) returns a scalar or an array; the partials are stacked along a
+    new first axis, one row per coordinate.  Each coordinate v is stepped
+    by ``_FD_STEP * max(1, |v|)`` in a plus and a minus copy of the state,
+    and restored once the difference is taken, so x and y are left alone
+    and the O(step^2) bias is negligible for the smooth rational functions
+    used here.
+    """
+    plus = [np.array(x, dtype=complex), np.array(y, dtype=complex)]
+    minus = [a.copy() for a in plus]
+    grads = ([], [])
+    for k in (0, 1):
+        for i, v in enumerate(plus[k].tolist()):
+            step = _FD_STEP * max(1.0, abs(v))
+            plus[k][i] = v + step
+            minus[k][i] = v - step
+            grads[k].append((f(*plus) - f(*minus)) / (2 * step))
+            plus[k][i] = minus[k][i] = v
+    return np.array(grads[0]), np.array(grads[1])
+
+
+def pushforward_field(map_fn, field, x, y, t, flip=False):
     """Time derivative of map_fn(x, y) along the flow of ``field``.
 
-    The chain rule is evaluated with central-difference Jacobians in the
-    state (the maps are smooth rational functions, so the O(h^2) bias is
-    negligible at h = 1e-5).  ``flip`` accounts for a source flow running
+    The chain rule fx @ Jx + fy @ Jy takes the Jacobians of the map from
+    :func:`state_partials`.  ``flip`` accounts for a source flow running
     in reversed time: the source field is evaluated at -t and the whole
     derivative changes sign.
     """
-    t_src = -t if flip else t
-    fx, fy = field(x, y, t_src)
-    base = np.concatenate(map_fn(x, y))
-    out = np.zeros_like(base)
-    for idx in range(len(x)):
-        for arr, vel in ((0, fx[idx]), (1, fy[idx])):
-            if vel == 0:
-                continue
-            xp, yp = np.array(x, dtype=complex), np.array(y, dtype=complex)
-            xm, ym = xp.copy(), yp.copy()
-            step = h * max(1.0, abs((x if arr == 0 else y)[idx]))
-            if arr == 0:
-                xp[idx] += step
-                xm[idx] -= step
-            else:
-                yp[idx] += step
-                ym[idx] -= step
-            col = (np.concatenate(map_fn(xp, yp)) - np.concatenate(map_fn(xm, ym))) / (2 * step)
-            out = out + col * vel
+    fx, fy = field(x, y, -t if flip else t)
+    Jx, Jy = state_partials(lambda a, b: np.concatenate(map_fn(a, b)), x, y)
+    out = fx @ Jx + fy @ Jy
     return -out if flip else out
 
 
@@ -518,8 +527,7 @@ class Trajectory:
 
 
 def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
-              dense_ts=None, max_steps=200_000, fixed_step=None,
-              max_step=None) -> Trajectory:
+              dense_ts=None, max_steps=200_000, fixed_step=None) -> Trajectory:
     """Embedded Dormand-Prince 5(4) integration of dstate/dt = field(t, state).
 
     Local error per step is held below atol + rtol * |state| componentwise.
@@ -562,8 +570,6 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
     else:
         step_ts = [t]
         step_states = [y]
-    if max_step is None:
-        max_step = span
 
     steps = rejected = 0
     K = np.empty((7, len(y)), dtype=complex)
@@ -578,7 +584,7 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
             raise IntegrationError(f"step budget exhausted near t = {t:.6g}")
         if np.abs(y).max() > _MAX_STATE:
             raise IntegrationError(f"state blow-up near t = {t:.6g} (movable pole?)")
-        h_step = min(h, abs(t1 - t), max_step)
+        h_step = min(h, abs(t1 - t))
         if dense_ts is not None and dense_idx < len(dense):
             h_step = min(h_step, abs(dense[dense_idx] - t))
         if h_step < 1e-13 * max(1.0, abs(t)):

@@ -1,16 +1,19 @@
 """Generalized and confluent hypergeometric series and their operators.
 
-A series spec holds the upper parameters a_0..a_m, the lower parameters
-b_1..b_n and a flag saying whether each term carries the extra factorial
-(1)_i in its denominator.  The defining operator in delta = t d/dt is
+A series spec holds the upper parameters a_0..a_m and the lower
+parameters b_1..b_n; term i is prod (a)_i / prod (b)_i * t^i / i!.  The
+defining operator in delta = t d/dt is
 
     delta (delta + b_1 - 1) ... (delta + b_n - 1)  -  t (delta + a_0) ... (delta + a_m),
 
 whose Frobenius recursion forces the factorial: the leading delta factor
-contributes the 1/i.  Confluent series (fewer upper than lower
-parameters) therefore also need ``includes_factorial=True`` to satisfy
-their operator; the flag exists so the bare product form can still be
-summed for comparison.
+contributes the 1/i, for confluent series (fewer upper than lower
+parameters) as well.  The bare product series without the factorial is
+the spec with one more upper parameter 1, since (1)_i = i!.
+
+Derivatives come from the contiguous relation
+d/dt F(a; b; t) = (prod a / prod b) F(a + 1; b + 1; t) (DLMF 16.3.1), so
+:func:`eval_series` is the only summation loop.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ class HGSpec:
 
     upper: tuple
     lower: tuple
-    includes_factorial: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "upper", tuple(complex(a) for a in self.upper))
@@ -60,7 +62,7 @@ class HGSpec:
     @property
     def growth_exponent(self) -> int:
         """Degree of i in the term ratio: 0 means radius 1, negative entire."""
-        return len(self.upper) - len(self.lower) - (1 if self.includes_factorial else 0)
+        return len(self.upper) - len(self.lower) - 1
 
     def term_ratio(self, i: int) -> complex:
         """c_i / c_{i-1} with the t factor left out, for i >= 1."""
@@ -70,8 +72,7 @@ class HGSpec:
         den = 1.0 + 0.0j
         for b in self.lower:
             den *= b + i - 1
-        if self.includes_factorial:
-            den *= i
+        den *= i
         if abs(den) < _DENOM_FLOOR:
             raise SeriesError(f"vanishing denominator in term {i} (lower parameter resonance)")
         return num / den
@@ -141,39 +142,24 @@ def eval_series(spec: HGSpec, t: complex, rtol: float = 1e-12):
 
 
 def eval_series_jet(spec: HGSpec, t: complex, rtol: float = 1e-12, order: int = 2):
-    """Value and the first ``order`` t-derivatives, summed termwise.
+    """Value and the first ``order`` t-derivatives.
 
-    Returns (jet, terms_used) with jet[d] = d-th derivative at t.
+    Returns (jet, terms_used) with jet[d] = d-th derivative at t, from the
+    contiguous relation d^d/dt^d F(a; b; t) = prod (a)_d / prod (b)_d
+    * F(a + d; b + d; t) (DLMF 16.3.1); terms_used is the largest term
+    count of the order + 1 sums.
     """
-    t = complex(t)
-    _check_domain(spec, t)
-    jets = [_CompensatedSum() for _ in range(order + 1)]
-    jets[0].add(1.0 + 0.0j)
-    coeff = 1.0 + 0.0j
-    small_run = 0
-    terms = 1
-    for i in range(1, MAX_TERMS + 1):
-        coeff *= spec.term_ratio(i)
-        # contribution of c_i t^i to the d-th derivative: c_i * i!/(i-d)! * t^(i-d)
-        mags = 0.0
-        fall = 1.0
-        for d in range(order + 1):
-            if i - d < 0:
-                break
-            contrib = coeff * fall * t ** (i - d)
-            jets[d].add(contrib)
-            mags = max(mags, abs(contrib) / max(abs(jets[d].value), 1e-300))
-            fall *= i - d
-        terms = i + 1
-        if mags < rtol:
-            small_run += 1
-            if small_run >= _CONVERGED_RUN:
-                break
-        else:
-            small_run = 0
-    else:
-        raise SeriesError(f"no convergence within {MAX_TERMS} terms at t = {t}")
-    return tuple(j.value for j in jets), terms
+    jet, terms = [], 0
+    for d in range(order + 1):
+        shifted = HGSpec(tuple(a + d for a in spec.upper), tuple(b + d for b in spec.lower))
+        value, used = eval_series(shifted, t, rtol)
+        for a in spec.upper:
+            value *= pochhammer(a, d)
+        for b in spec.lower:
+            value /= pochhammer(b, d)
+        jet.append(value)
+        terms = max(terms, used)
+    return tuple(jet), terms
 
 
 def series_coefficients(spec: HGSpec, depth: int) -> np.ndarray:
@@ -260,14 +246,13 @@ def ode_residual(spec: HGSpec, t: complex, rtol: float = 1e-12) -> float:
 def riemann_scheme(spec: HGSpec) -> dict:
     """Local exponents of the defining Fuchsian operator at 0, 1, infinity.
 
-    Only meaningful for the balanced case (n+1 upper, n lower, factorial
-    included), whose singular points are exactly {0, 1, infinity}.  At
-    t=1 the non-trivial exponent is sum(lower) - sum(upper); together with
-    {0..n-1} there, {0, 1-b_i} at the origin and the upper parameters at
-    infinity, the grand total is n(n+1)/2 as the residue theorem for the
-    trace demands.
+    Only meaningful for the balanced case (n+1 upper, n lower), whose
+    singular points are exactly {0, 1, infinity}.  At t=1 the non-trivial
+    exponent is sum(lower) - sum(upper); together with {0..n-1} there,
+    {0, 1-b_i} at the origin and the upper parameters at infinity, the
+    grand total is n(n+1)/2 as the residue theorem for the trace demands.
     """
-    if spec.growth_exponent != 0 or not spec.includes_factorial:
+    if spec.growth_exponent != 0:
         raise SeriesError("exponent scheme defined for the balanced (Fuchsian) case only")
     n = len(spec.lower)
     at_zero = [0.0 + 0.0j] + [1.0 - b for b in spec.lower]

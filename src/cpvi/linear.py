@@ -127,9 +127,6 @@ class LinearSystem:
             return self.A0 / t + self.A1 / (1.0 - t)
         return self.A0 / t + self.A1
 
-    def field(self, t: complex, x: np.ndarray) -> np.ndarray:
-        return self.coefficient(t) @ x
-
     def residue_spectra(self) -> dict:
         """Eigenvalue data of the residue matrices, read off the structure.
 
@@ -287,8 +284,8 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
     depth step.  Component m is then the prefix product of the first n-m
     head ratios times that of the first m+1 tail ratios, so the cost is
     O(depth * n) products instead of rebuilding every rising factorial.
-    Each denominator factor is checked for resonance; over Fractions the
-    vectors are exact.
+    Each head denominator factor is checked for resonance, which covers
+    the tail factors too; over Fractions the vectors are exact.
     """
     n = p.n
     one = p.alpha[0] * 0 + 1
@@ -305,10 +302,10 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
             _require_nonzero(den, "head window rising factorial")
             heads[j] = heads[j] * (heads_num[j] + i) / den
         if i:
+            # tail window j is head window n-j, whose factor was checked one
+            # step earlier; r_0 is the full-period sum 1
             for j in range(n + 1):
-                den = tails_den[j] + (i - 1)
-                _require_nonzero(den, "tail window rising factorial")
-                tails[j] = tails[j] * (tails_num[j] + (i - 1)) / den
+                tails[j] = tails[j] * (tails_num[j] + (i - 1)) / (tails_den[j] + (i - 1))
         head_prefix = [one]
         for h in heads:
             head_prefix.append(head_prefix[-1] * h)
@@ -336,8 +333,6 @@ class SeriesSolution:
     exponent: complex
     coeffs: np.ndarray
     source: str
-    specs: tuple = None
-    prefactors: tuple = None
 
     @property
     def n(self) -> int:
@@ -440,7 +435,7 @@ def branch_spec(p: ParameterSet, k: int, l: int):
         shift = 1.0 if i <= l else 0.0
         upper.append(complex(p.partial_sum(2 * k - 2 * i + 3, 2 * i - 2)) + shift)
         lower.append(complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1)) + shift)
-    return pref, HGSpec(tuple(upper), tuple(lower), includes_factorial=True)
+    return pref, HGSpec(tuple(upper), tuple(lower))
 
 
 def confluent_branch_spec(p: ParameterSet, k: int, l: int):
@@ -495,17 +490,14 @@ def confluent_branch_spec(p: ParameterSet, k: int, l: int):
     for i in range(1, n + 1):
         shift = 1.0 if i <= l else 0.0
         lower.append(complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1)) + shift)
-    return pref, HGSpec(tuple(upper), tuple(lower), includes_factorial=True)
+    return pref, HGSpec(tuple(upper), tuple(lower))
 
 
 def _assemble(p, k, depth, spec_of_l, source):
     n = p.n
     coeffs = np.zeros((depth + 1, n + 1), dtype=complex)
-    specs, prefs = [], []
     for l in range(n + 1):
         pref, spec = spec_of_l(p, k, l)
-        specs.append(spec)
-        prefs.append(pref)
         # gauge component c carries the level n-c branch function
         coeffs[:, n - l] = pref * series_coefficients(spec, depth)
     return SeriesSolution(
@@ -513,8 +505,6 @@ def _assemble(p, k, depth, spec_of_l, source):
         exponent=complex(branch_exponent(p, k)),
         coeffs=coeffs,
         source=source,
-        specs=tuple(specs),
-        prefactors=tuple(prefs),
     )
 
 
@@ -559,18 +549,22 @@ def scaled_det(matrix: np.ndarray) -> float:
 # residual checks
 
 
-def system_residual(sys: LinearSystem, sol: SeriesSolution, t: complex,
-                    h: float = 1e-6) -> float:
-    """Finite-difference residual of a series solution in the system at t.
+def system_residual(sys: LinearSystem, sol: SeriesSolution, t: complex) -> float:
+    """Residual of a series solution in the system at t.
 
-    The power prefactor t^rho is differentiated exactly; central
-    differences with step h act on the analytic factor only, so the
-    measured defect is O(h^2) of a bounded third derivative.  Normalised
-    by the solution magnitude.
+    The solution is t^rho u with u the truncated analytic series.  The
+    defect u' + (rho / t) u - A(t) u takes u and u' exactly from the
+    original-frame coefficients and one vector of powers of t, so it
+    measures the series itself, with no finite-difference error.
+    Normalised by the solution magnitude.
     """
     t = complex(t)
-    u = sol.analytic_value(t)
-    du = (sol.analytic_value(t + h) - sol.analytic_value(t - h)) / (2.0 * h)
+    c = sol.original_coeffs()
+    tpow = np.full(c.shape[0], t)
+    tpow[0] = 1.0
+    tpow = tpow.cumprod()
+    u = tpow @ c
+    du = (np.arange(1, c.shape[0]) * tpow[:-1]) @ c[1:]
     defect = du + (sol.exponent / t) * u - sys.coefficient(t) @ u
     scale = np.linalg.norm(u)
     if scale == 0.0:
@@ -630,7 +624,7 @@ def component_ode_params(p: ParameterSet, i: int) -> HGSpec:
             base = complex(p.partial_sum(2 * r - 2 * j - 1, length))
             shift = 1.0 if (i <= r - 1 or j <= n + r - i - 1) else 0.0
             upper.append(base + shift)
-    return HGSpec(tuple(upper), tuple(lower), includes_factorial=True)
+    return HGSpec(tuple(upper), tuple(lower))
 
 
 def component_operator_residual(p: ParameterSet, sol: SeriesSolution, t: complex) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dynamics import state_partials
 from .params import ParameterSet, sample_generic
 
 
@@ -41,34 +42,19 @@ def cartan_matrix(n: int) -> np.ndarray:
     return a
 
 
-def poisson_bracket(f, g, h: float = 1e-6):
+def poisson_bracket(f, g):
     """Canonical bracket evaluator for state functions f(x, y), g(x, y).
 
     The structure constants are {x_i, y_j} = -delta_ij, so
-    {f, g} = sum_i df/dy_i dg/dx_i - df/dx_i dg/dy_i, evaluated with
-    central differences (exact to rounding for the polynomial and rational
-    functions used here).
+    {f, g} = sum_i df/dy_i dg/dx_i - df/dx_i dg/dy_i, with the partials
+    from :func:`state_partials` (exact to rounding for the polynomial and
+    rational functions used here).
     """
 
     def bracket(x, y):
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        total = 0.0 + 0.0j
-        for i in range(len(x)):
-            def d(fun, arr, idx):
-                step = h * max(1.0, abs((x if arr == 0 else y)[idx]))
-                xp, yp = x.copy(), y.copy()
-                xm, ym = x.copy(), y.copy()
-                if arr == 0:
-                    xp[idx] += step
-                    xm[idx] -= step
-                else:
-                    yp[idx] += step
-                    ym[idx] -= step
-                return (fun(xp, yp) - fun(xm, ym)) / (2 * step)
-
-            total += d(f, 1, i) * d(g, 0, i) - d(f, 0, i) * d(g, 1, i)
-        return total
+        fx, fy = state_partials(f, x, y)
+        gx, gy = state_partials(g, x, y)
+        return complex(np.sum(fy * gx - fx * gy))
 
     return bracket
 

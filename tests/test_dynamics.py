@@ -27,6 +27,7 @@ from cpvi.dynamics import (
     riccati_from_gauss,
     riccati_residual,
     riccati_rhs,
+    state_partials,
     symmetric_field,
     symmetric_gradients,
     symmetric_rhs,
@@ -296,6 +297,25 @@ class TestConfluence:
         dx, dy = degenerate_field(p, x, y, 0.9)
         assert np.max(np.abs(dx - sys.coefficient(0.9) @ x)) < 1e-13
         assert np.max(np.abs(dy)) < 1e-13
+
+
+class TestStatePartials:
+    def test_identity_map_returning_its_argument(self):
+        # f hands back its own (stepped) input, and the caller's arrays stay put
+        x = np.array([0.8, -1.5, 2.0], dtype=complex)
+        y = np.array([0.3, 1.1, -0.7], dtype=complex)
+        x0, y0 = x.copy(), y.copy()
+        Jx, Jy = state_partials(lambda a, b: a, x, y)
+        assert np.allclose(Jx, np.eye(3), atol=1e-10)
+        assert np.array_equal(Jy, np.zeros((3, 3)))
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+
+    def test_scalar_function(self):
+        x = np.array([0.8, -1.5], dtype=complex)
+        y = np.array([0.3, 1.1], dtype=complex)
+        fx, fy = state_partials(lambda a, b: a[0] ** 2 * b[1] + a[1] / b[0], x, y)
+        assert np.allclose(fx, [2 * x[0] * y[1], 1 / y[0]], rtol=1e-9)
+        assert np.allclose(fy, [-x[1] / y[0] ** 2, x[0] ** 2], rtol=1e-9)
 
 
 class TestAppendixMaps:

@@ -88,6 +88,14 @@ class TestEvalSeries:
         assert fp == pytest.approx((f_plus - f_minus) / (2 * h), rel=1e-5)
         assert fpp == pytest.approx((f_plus - 2 * f + f_minus) / h**2, rel=1e-4)
 
+    @pytest.mark.parametrize("a,c,t", [(0.7, 1.3, 0.4), (-0.35, 0.6, -0.7), (1.8, 2.5, 0.3 + 0.5j)])
+    def test_jet_closed_form(self, a, c, t):
+        # 2F1(a, c; c; t) = (1 - t)^(-a)
+        (f, fp, fpp), _ = eval_series_jet(HGSpec((a, c), (c,)), t, order=2)
+        assert f == pytest.approx((1 - t) ** -a, rel=1e-12)
+        assert fp == pytest.approx(a * (1 - t) ** (-a - 1), rel=1e-12)
+        assert fpp == pytest.approx(a * (a + 1) * (1 - t) ** (-a - 2), rel=1e-12)
+
 
 class TestOdeResidual:
     def test_exact_solution_cancels(self):
@@ -103,10 +111,11 @@ class TestOdeResidual:
         assert operator_residual(bad, coeffs, 0.4) >= 1e-4
 
     def test_confluent_needs_factorial(self):
-        with_fact = HGSpec((0.7,), (1.3,), includes_factorial=True)
-        assert ode_residual(with_fact, 2.0) < 1e-10
-        bare = HGSpec((0.7,), (1.3,), includes_factorial=False)
-        assert ode_residual(bare, 0.5) >= 1e-4
+        spec = HGSpec((0.7,), (1.3,))
+        assert ode_residual(spec, 2.0) < 1e-10
+        # the bare product series is the spec with an extra upper parameter 1
+        bare = series_coefficients(HGSpec((0.7, 1.0), (1.3,)), 40)
+        assert operator_residual(spec, bare, 0.5) >= 1e-4
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
     def test_small_across_disc(self, t):

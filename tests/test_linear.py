@@ -273,6 +273,23 @@ class TestResonance:
         if d:
             assert closed_form_vectors(p, 0, d - 1) == recurrence_vectors(p, 0, d - 1)
 
+    # The same for the other branches: at branch k the head denominators are
+    # v_0 = alpha_{2k} + alpha_{2k+1} (row 1) and v_1 = alpha_{2k-2} + ...
+    # + alpha_{2k+1} (row 0), again the tail denominators r_2 and r_1.
+    @pytest.mark.parametrize("k,start,length,row", [(1, 2, 1, 1), (1, 0, 3, 0),
+                                                    (2, 4, 1, 1), (2, 2, 3, 0)])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_every_branch_head_check_raises(self, k, start, length, row, d):
+        p = _set_with_window(2, start, length, Fraction(-d), inside=start,
+                             outside=(start + length + 1) % 6)
+        assert p.partial_sum(start, length) == -d
+        with pytest.raises(ResonanceError, match="head window"):
+            closed_form_vectors(p, k, d)
+        with pytest.raises(ResonanceError, match=f"row {row}"):
+            recurrence_vectors(p, k, d)
+        if d:
+            assert closed_form_vectors(p, k, d - 1) == recurrence_vectors(p, k, d - 1)
+
 
 def _perturb_largest(sol, rel=1e-6):
     """Copy of sol with its largest coefficient in rows 1..19 scaled by 1 + rel."""
@@ -299,6 +316,43 @@ class TestResidualSensitivity:
         for k in range(n + 1):
             bad = _perturb_largest(confluent_fundamental_solution(p, k, depth=60))
             assert recurrence_residual(sys, bad) > 1e-10
+
+
+class TestExactSystemResidual:
+    # the series derivative is exact, so true solutions read at rounding level
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_generic_at_rounding_level(self, n):
+        p = sample_generic(n, seed=90 + n)
+        sys = build_fuchsian(p)
+        for k in range(n + 1):
+            sol = fundamental_solution(p, k, depth=60)
+            for t in np.linspace(0.05, 0.5, 6):
+                assert system_residual(sys, sol, t) < 1e-12
+
+    @pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
+                                     (3, 1), (3, 2), (3, 3), (3, 4)])
+    def test_confluent_at_rounding_level(self, n, r):
+        p = sample_degenerate(n, r, seed=200 + 10 * n + r)
+        sys = build_confluent(p)
+        for k in range(n + 1):
+            sol = confluent_fundamental_solution(p, k, depth=60)
+            for t in (0.1, 0.45):
+                assert system_residual(sys, sol, t) < 1e-12
+
+    # Scaling row 1 by 1 + 1e-9 moves the series by about 1e-9 |c_1|; the
+    # residual must see it above 1e-11 for a unit-size row (rows here range
+    # from 0.02 to 2), far below the 1.9e-10 noise of a finite-difference
+    # derivative.
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_perturbation_detected(self, n):
+        p = sample_generic(n, seed=90 + n)
+        sys = build_fuchsian(p)
+        for k in range(n + 1):
+            sol = fundamental_solution(p, k, depth=60)
+            coeffs = sol.coeffs.copy()
+            coeffs[1] *= 1.0 + 1e-9
+            bad = dataclasses.replace(sol, coeffs=coeffs)
+            assert system_residual(sys, bad, 0.3) > 1e-11 * np.max(np.abs(coeffs[1]))
 
 
 class TestFundamentalSolutions:
