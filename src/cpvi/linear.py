@@ -16,7 +16,9 @@ and the three independent routes to the series solutions at t = 0:
 * the closed-form coefficient vectors, products of rising factorials of
   cyclic window sums;
 * assembly from hypergeometric series with the branch-dependent
-  parameter bookkeeping, including the confluent case split.
+  parameter bookkeeping, one window rule for every confluence level: at
+  level r the upper windows starting at the odd slots 2s+1, s < r, are
+  absorbed by the time rescaling of the confluence limit and dropped.
 
 Exponent conventions: branch k of the system carries t^(-w_k) with
 w_k = alpha_{2k+2} + ... + alpha_{2n} + alpha_{2n+1} (window sum), the
@@ -211,32 +213,26 @@ def _require_nonzero(v, what, row=None):
         raise ResonanceError(f"vanishing {what}{where}")
 
 
-def _upper_solve(rows, rhs, pivot_shift):
-    """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A."""
+def _upper_solve(rows, rhs, pivot_shift, last=None):
+    """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A.
+
+    With ``last`` given, v[-1] is fixed to it and the last row is skipped:
+    rhs 0, shift 0 and last 1 give the kernel vector of an A whose last
+    diagonal entry is 0.
+    """
     m = len(rows)
     v = [rhs[0] * 0 for _ in range(m)]
-    for i in range(m - 1, -1, -1):
+    what = "recurrence pivot"
+    if last is not None:
+        v[m - 1] = last
+        what = "diagonal entry (kernel not one-dimensional)"
+    for i in range(m - 1 if last is None else m - 2, -1, -1):
         acc = rhs[i]
         for j in range(i + 1, m):
             acc = acc - rows[i][j] * v[j]
         pivot = rows[i][i] + pivot_shift
-        _require_nonzero(pivot, "recurrence pivot", i)
+        _require_nonzero(pivot, what, i)
         v[i] = acc / pivot
-    return v
-
-
-def _kernel_last_one(rows):
-    """Kernel vector of upper-triangular A with A[m-1][m-1] = 0, last entry 1."""
-    m = len(rows)
-    one = rows[0][0] * 0 + 1
-    v = [rows[0][0] * 0 for _ in range(m)]
-    v[m - 1] = one
-    for i in range(m - 2, -1, -1):
-        acc = rows[0][0] * 0
-        for j in range(i + 1, m):
-            acc = acc + rows[i][j] * v[j]
-        _require_nonzero(rows[i][i], "diagonal entry (kernel not one-dimensional)", i)
-        v[i] = -acc / rows[i][i]
     return v
 
 
@@ -252,7 +248,8 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
     step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
              for col in range(n + 1)] for row in range(n + 1)]
-    vecs = [_kernel_last_one(A0)]
+    zero = p.alpha[0] * 0
+    vecs = [_upper_solve(A0, [zero] * (n + 1), 0, last=zero + 1)]
     for i in range(depth):
         prev = vecs[i]
         rhs = []
@@ -332,7 +329,6 @@ class SeriesSolution:
     k: int
     exponent: complex
     coeffs: np.ndarray
-    source: str
 
     @property
     def n(self) -> int:
@@ -396,7 +392,6 @@ def solve_recurrence(sys_k: LinearSystem, depth: int) -> SeriesSolution:
         k=k,
         exponent=complex(branch_exponent(sys_k.params, k)),
         coeffs=_to_coeff_array(vecs),
-        source="recurrence",
     )
 
 
@@ -407,7 +402,6 @@ def closed_form_coeffs(p: ParameterSet, k: int, depth: int) -> SeriesSolution:
         k=k,
         exponent=complex(branch_exponent(p, k)),
         coeffs=_to_coeff_array(vecs),
-        source="closed_form",
     )
 
 
@@ -415,123 +409,68 @@ def closed_form_coeffs(p: ParameterSet, k: int, depth: int) -> SeriesSolution:
 # hypergeometric assembly
 
 
-def branch_spec(p: ParameterSet, k: int, l: int):
-    """(prefactor, HGSpec) of the level-l branch function, generic case.
-
-    a_0 spans the 2n+1 entries ending at 2k+1; the paired windows
-    a_i / b_i of lengths 2i-1 / 2i ending at 2k+1 / 2k+1 are shifted by one
-    for i <= l.  The prefactor is the product of the first l unshifted
-    window ratios.
-    """
-    n = p.n
-    pref = 1.0 + 0.0j
-    for i in range(1, l + 1):
-        den = complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1))
-        _require_nonzero(den, "prefactor window sum")
-        pref *= complex(p.partial_sum(2 * k - 2 * i + 3, 2 * i - 2)) / den
-    upper = [complex(p.partial_sum(2 * k - 2 * n + 1, 2 * n))]
-    lower = []
-    for i in range(1, n + 1):
-        shift = 1.0 if i <= l else 0.0
-        upper.append(complex(p.partial_sum(2 * k - 2 * i + 3, 2 * i - 2)) + shift)
-        lower.append(complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1)) + shift)
-    return pref, HGSpec(tuple(upper), tuple(lower))
+def _branch_windows(p: ParameterSet, k: int):
+    """Unshifted windows a_0..a_n (None where absorbed) and b_1..b_n of
+    branch k at the set's level, as described in :func:`branch_spec`."""
+    n, m = p.n, 2 * p.n + 2
+    upper = [None if (k - i + 1) % (n + 1) < p.degeneracy
+             else complex(p.partial_sum(2 * k - 2 * i + 3, (2 * i - 2) % m))
+             for i in range(n + 1)]
+    lower = [complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1)) for i in range(1, n + 1)]
+    return upper, lower
 
 
-def confluent_branch_spec(p: ParameterSet, k: int, l: int):
-    """(prefactor, HGSpec) of the level-l branch function at confluence
-    level r = p.degeneracy.
-
-    The surviving upper parameters are indexed i = r..n with base window
-    starting at 2r-2i-1; window lengths are reduced modulo the period, so
-    whole-period copies of sum(alpha) = 1 are not absorbed into the
-    parameter.  Which of them acquire the +1 shift depends on the
-    position of the branch relative to the confluence level:
-
-        k+1 <= r:  none for l < k+2, else i in [r, r-k+l-2];
-        r < k+1:   i in [n+r-k, n+r-k+l-1] for l < k-r+1,
-                   i in [n+r-k, n]          for k-r+1 <= l < k+2,
-                   both [r, r-k+l-2] and [n+r-k, n] for k+2 <= l.
-
-    Prefactor numerators survive only when (k-i+1) mod (n+1) >= r.
-    """
-    n, r = p.n, p.degeneracy
-    m = 2 * n + 2
-    pref = 1.0 + 0.0j
-    for i in range(1, l + 1):
-        den = complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1))
-        _require_nonzero(den, "prefactor window sum")
-        pref /= den
-        if (k - i + 1) % (n + 1) >= r:
-            pref *= complex(p.partial_sum(2 * k - 2 * i + 3, 2 * i - 2))
-    shifted = set()
-
-    def mark(lo, hi):
-        for i in range(max(lo, r), min(hi, n) + 1):
-            shifted.add(i)
-
-    if k + 1 <= r:
-        if l >= k + 2:
-            mark(r, r - k + l - 2)
-    else:
-        if l < k - r + 1:
-            mark(n + r - k, n + r - k + l - 1)
-        elif l < k + 2:
-            mark(n + r - k, n)
-        else:
-            mark(r, r - k + l - 2)
-            mark(n + r - k, n)
-    upper = []
-    for i in range(r, n + 1):
-        length = (2 * k - 2 * r + 2 * i + 2) % m
-        base = complex(p.partial_sum(2 * r - 2 * i - 1, length))
-        upper.append(base + (1.0 if i in shifted else 0.0))
-    lower = []
-    for i in range(1, n + 1):
-        shift = 1.0 if i <= l else 0.0
-        lower.append(complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1)) + shift)
-    return pref, HGSpec(tuple(upper), tuple(lower))
-
-
-def _assemble(p, k, depth, spec_of_l, source):
-    n = p.n
-    coeffs = np.zeros((depth + 1, n + 1), dtype=complex)
-    for l in range(n + 1):
-        pref, spec = spec_of_l(p, k, l)
-        # gauge component c carries the level n-c branch function
-        coeffs[:, n - l] = pref * series_coefficients(spec, depth)
-    return SeriesSolution(
-        k=k,
-        exponent=complex(branch_exponent(p, k)),
-        coeffs=coeffs,
-        source=source,
+def _shifted_spec(upper, lower, l: int) -> HGSpec:
+    """HGSpec with windows 1..l shifted by one and absorbed windows dropped."""
+    return HGSpec(
+        tuple(w + (1.0 if 1 <= i <= l else 0.0) for i, w in enumerate(upper) if w is not None),
+        tuple(w + (1.0 if i <= l else 0.0) for i, w in enumerate(lower, 1)),
     )
 
 
+def branch_spec(p: ParameterSet, k: int, l: int):
+    """(prefactor, HGSpec) of the level-l branch function of branch k, at
+    every confluence level r = p.degeneracy.
+
+    Every window ends at slot 2k+1.  Upper window a_i starts at the odd
+    slot 2(k-i+1)+1 and holds 2i-1 terms (a_0: 2n+1); lower window b_i
+    starts at 2k-2i+2 and holds 2i terms.  a_i and b_i are shifted by one
+    for 1 <= i <= l, and the prefactor is prod_{i<=l} a_i / b_i, unshifted.
+
+    At level r the upper window starting at the odd slot 2s+1 is dropped
+    for every s < r, from the parameters and from the prefactor numerator.
+    In the source limit (``degenerate_replace`` at level s) that window
+    holds alpha_{2s+1} + 1/eps but not the -1/eps of slot 2s, so it grows
+    like 1/eps and is absorbed by the time rescaling, the confluence
+    lim_{a -> oo} F(..., a; ...; t/a) of DLMF 16.8(ii).  Every other window
+    holds both slots or neither.  Generic sets (r = 0) drop nothing.
+    """
+    upper, lower = _branch_windows(p, k)
+    pref = 1.0 + 0.0j
+    for i in range(1, l + 1):
+        _require_nonzero(lower[i - 1], "prefactor window sum")
+        pref = pref / lower[i - 1] if upper[i] is None else pref * (upper[i] / lower[i - 1])
+    return pref, _shifted_spec(upper, lower, l)
+
+
 def fundamental_solution(p: ParameterSet, k: int, depth: int = 49) -> SeriesSolution:
-    """Branch-k solution of the Fuchsian system assembled from
-    hypergeometric series (valid on |t| < 1)."""
-    if p.degeneracy != 0:
-        raise ValueError("generic parameter set required")
-    if not 0 <= k <= p.n:
-        raise ValueError(f"branch index {k} out of range 0..{p.n}")
-    return _assemble(p, k, depth, branch_spec, "hypergeometric")
-
-
-def confluent_fundamental_solution(p: ParameterSet, k: int, depth: int = 49) -> SeriesSolution:
-    """Branch-k solution of the level-r confluent system from confluent
-    hypergeometric series."""
-    if not 1 <= p.degeneracy <= p.n + 1:
-        raise ValueError("confluent parameter set required")
-    if not 0 <= k <= p.n:
-        raise ValueError(f"branch index {k} out of range 0..{p.n}")
-    return _assemble(p, k, depth, confluent_branch_spec, "hypergeometric")
+    """Branch-k solution of the system of the set's level (Fuchsian for
+    generic sets, confluent otherwise) assembled from hypergeometric
+    series; valid on |t| < 1 for generic sets, entire for confluent ones."""
+    n = p.n
+    if not 0 <= k <= n:
+        raise ValueError(f"branch index {k} out of range 0..{n}")
+    coeffs = np.zeros((depth + 1, n + 1), dtype=complex)
+    for l in range(n + 1):
+        pref, spec = branch_spec(p, k, l)
+        # gauge component c carries the level n-c branch function
+        coeffs[:, n - l] = pref * series_coefficients(spec, depth)
+    return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)), coeffs=coeffs)
 
 
 def fundamental_matrix(p: ParameterSet, t: complex, depth: int = 49) -> np.ndarray:
     """Matrix whose columns are the n+1 branch solutions evaluated at t."""
-    build = confluent_fundamental_solution if p.degeneracy else fundamental_solution
-    cols = [build(p, k, depth).value(t) for k in range(p.n + 1)]
+    cols = [fundamental_solution(p, k, depth).value(t) for k in range(p.n + 1)]
     return np.stack(cols, axis=1)
 
 
@@ -595,36 +534,13 @@ def recurrence_residual(sys: LinearSystem, sol: SeriesSolution) -> float:
 
 
 def component_ode_params(p: ParameterSet, i: int) -> HGSpec:
-    """Scalar operator satisfied by component i of any system solution.
-
-    Generic sets: a_0 is the full window starting at index 1; the paired
-    windows a_j / b_j of 2j-1 / 2j terms starting at 2n-2j+3 / 2n-2j+2 are
-    both shifted by one for j <= n-i.  Confluent sets of level r: the
-    upper windows start at 2r-2j-1 with period-reduced lengths; all are
-    shifted for components i <= r-1, otherwise those with j < n+r-i.
-    """
+    """Scalar operator satisfied by component i of any system solution:
+    the spec of the level n-i branch function of branch n (see
+    :func:`branch_spec`), at every confluence level."""
     n = p.n
     if not 0 <= i <= n:
         raise ValueError(f"component index {i} out of range 0..{n}")
-    lower = []
-    for j in range(1, n + 1):
-        shift = 1.0 if j <= n - i else 0.0
-        lower.append(complex(p.partial_sum(2 * n - 2 * j + 2, 2 * j - 1)) + shift)
-    if p.degeneracy == 0:
-        upper = [complex(p.partial_sum(1, 2 * n))]
-        for j in range(1, n + 1):
-            shift = 1.0 if j <= n - i else 0.0
-            upper.append(complex(p.partial_sum(2 * n - 2 * j + 3, 2 * j - 2)) + shift)
-    else:
-        r = p.degeneracy
-        m = 2 * n + 2
-        upper = []
-        for j in range(r, n + 1):
-            length = (2 * n - 2 * r + 2 * j + 2) % m
-            base = complex(p.partial_sum(2 * r - 2 * j - 1, length))
-            shift = 1.0 if (i <= r - 1 or j <= n + r - i - 1) else 0.0
-            upper.append(base + shift)
-    return HGSpec(tuple(upper), tuple(lower))
+    return _shifted_spec(*_branch_windows(p, n), n - i)
 
 
 def component_operator_residual(p: ParameterSet, sol: SeriesSolution, t: complex) -> float:

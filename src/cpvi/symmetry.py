@@ -69,11 +69,16 @@ def coordinate(kind: str, idx: int):
 
 
 def _transform_params(p: ParameterSet, i: int) -> ParameterSet:
-    a = cartan_matrix(p.n)
+    """Row i of the Cartan matrix applied directly: alpha_i -> -alpha_i and
+    each cyclic neighbour gains alpha_i."""
+    m = 2 * p.n + 2
     ai = p.alpha[i]
-    alpha = tuple(p.alpha[j] - a[i, j] * ai for j in range(2 * p.n + 2))
+    alpha = list(p.alpha)
+    alpha[i] = 0 - ai     # unlike -ai, keeps the +0 imaginary part of a real entry
+    for j in (i - 1, i + 1):
+        alpha[j % m] += ai
     eta = p.eta + (-1) ** i * ai
-    return ParameterSet(p.n, alpha, eta, p.degeneracy)
+    return ParameterSet(p.n, tuple(alpha), eta, p.degeneracy)
 
 
 def apply_generator(i: int, x, y, p: ParameterSet, t: float):

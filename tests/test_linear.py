@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpvi.hyperfn import HGSpec, eval_series
+from cpvi.hyperfn import HGSpec, eval_series, series_coefficients
 from cpvi.linear import (
     LinearSystem,
     ResonanceError,
@@ -17,8 +17,6 @@ from cpvi.linear import (
     closed_form_vectors,
     component_ode_params,
     component_operator_residual,
-    confluent_branch_spec,
-    confluent_fundamental_solution,
     fundamental_matrix,
     fundamental_solution,
     gauge_matrix,
@@ -30,7 +28,8 @@ from cpvi.linear import (
     system_residual,
     system_to_json,
 )
-from cpvi.params import ParameterSet, sample_degenerate, sample_generic, sample_rational_generic
+from cpvi.params import (ParameterSet, degenerate_replace, sample_degenerate, sample_generic,
+                         sample_rational_generic)
 
 
 def pset(alpha, degeneracy=0):
@@ -130,8 +129,6 @@ def _scaling(n, r, eps):
 def _confluence_matrix_error(p, r, eps, t):
     """Distance between the level-r coefficient matrix and the rescaled
     level-(r-1) one at finite eps."""
-    from cpvi.params import degenerate_replace
-
     target = build_confluent(p)
     source_params = degenerate_replace(p.with_degeneracy(r - 1), eps)
     if r == 1:
@@ -151,6 +148,26 @@ class TestConfluenceLimit:
         e2 = _confluence_matrix_error(p, r, 1e-4, 0.7)
         order = np.log10(e1 / e2)
         assert 0.8 <= order <= 1.2
+
+    # The level-(r-1) source set carries a 1/eps entry; the series of its
+    # branch spec, with t rescaled by eps, tends to the level-r series: the
+    # window that branch_spec absorbs at level r is the one that blows up.
+    @pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
+                                     (3, 1), (3, 2), (3, 3), (3, 4)])
+    def test_branch_spec_limit_is_first_order(self, n, r):
+        p = sample_degenerate(n, r, seed=200 + 10 * n + r)
+        depth = 12
+        for k in range(n + 1):
+            for l in range(n + 1):
+                target = series_coefficients(branch_spec(p, k, l)[1], depth)
+                target = target / target[0]
+                errs = []
+                for eps in (1e-3, 1e-4):
+                    _, spec = branch_spec(degenerate_replace(p.with_degeneracy(r - 1), eps), k, l)
+                    c = series_coefficients(spec, depth)
+                    scaled = c / c[0] * eps ** np.arange(depth + 1)
+                    errs.append(np.max(np.abs(scaled - target)) / np.max(np.abs(target)))
+                assert 0.8 <= np.log10(errs[0] / errs[1]) <= 1.2
 
 
 class TestGauge:
@@ -314,7 +331,7 @@ class TestResidualSensitivity:
         p = sample_degenerate(n, r, seed=200 + 10 * n + r)
         sys = build_confluent(p)
         for k in range(n + 1):
-            bad = _perturb_largest(confluent_fundamental_solution(p, k, depth=60))
+            bad = _perturb_largest(fundamental_solution(p, k, depth=60))
             assert recurrence_residual(sys, bad) > 1e-10
 
 
@@ -335,7 +352,7 @@ class TestExactSystemResidual:
         p = sample_degenerate(n, r, seed=200 + 10 * n + r)
         sys = build_confluent(p)
         for k in range(n + 1):
-            sol = confluent_fundamental_solution(p, k, depth=60)
+            sol = fundamental_solution(p, k, depth=60)
             for t in (0.1, 0.45):
                 assert system_residual(sys, sol, t) < 1e-12
 
@@ -425,7 +442,7 @@ class TestConfluentSolutions:
 
     def test_prefactor_trivial_at_level_zero(self):
         p = sample_degenerate(2, 2, seed=3)
-        pref, _ = confluent_branch_spec(p, 1, 0)
+        pref, _ = branch_spec(p, 1, 0)
         assert pref == 1.0
 
     @pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
@@ -434,7 +451,7 @@ class TestConfluentSolutions:
         p = sample_degenerate(n, r, seed=200 + 10 * n + r)
         sys = build_confluent(p)
         for k in range(n + 1):
-            sol = confluent_fundamental_solution(p, k, depth=60)
+            sol = fundamental_solution(p, k, depth=60)
             assert recurrence_residual(sys, sol) < 1e-12
             for t in (0.1, 0.45):
                 assert system_residual(sys, sol, t) < 1e-9
@@ -442,7 +459,7 @@ class TestConfluentSolutions:
     def test_confluent_component_operators(self):
         p = sample_degenerate(2, 1, seed=220)
         for k in range(3):
-            sol = confluent_fundamental_solution(p, k, depth=60)
+            sol = fundamental_solution(p, k, depth=60)
             assert component_operator_residual(p, sol, 0.4) < 1e-9
 
     def test_confluent_solution_matrix(self):
