@@ -1,10 +1,13 @@
 """Hamiltonian vector fields of the hierarchy and a generic integrator.
 
-Three families of flows live here, all with hand-differentiated
-polynomial gradients (the finite-difference oracle in the test suite is
-the acceptance gate for every one of them).  Each field has one kernel;
-the rhs closures of the first two families build its parameter constants
-once, the public field functions on every call:
+Three families of flows live here.  The flow kernels of the first two
+(coupled, symmetric, confluent) are hand-written polynomial gradients for
+speed; the tests hold each one to its Hamiltonian exactly, with a
+unit-step five-point stencil that has no truncation error at the degrees
+these Hamiltonians have.  The gradients of the canonical systems are
+derived from their Hamiltonians.  Each field has one kernel; the rhs
+closures of the first two families build its parameter constants once,
+the public field functions on every call:
 
 * the rank-n coupled Painleve VI system in canonical variables
   (q_1..q_n, p_1..p_n), with time scaled by t(t-1);
@@ -298,8 +301,6 @@ def log_derivative_target(p: ParameterSet, q, pm, eta, t):
 # ----------------------------------------------------------------------
 # low-rank canonical systems (fifth/third Painleve and the rank-2 chain)
 
-APPENDIX_SYSTEMS = ("p5", "p3", "n2r1", "n2r2", "n2r3")
-
 # (rank, confluence level, source time carries a sign flip)
 APPENDIX_SOURCE = {
     "p5": (1, 1, True),
@@ -308,6 +309,7 @@ APPENDIX_SOURCE = {
     "n2r2": (2, 2, True),
     "n2r3": (2, 3, True),
 }
+APPENDIX_SYSTEMS = tuple(APPENDIX_SOURCE)
 
 
 def hamiltonian_appendix(which: str, p: ParameterSet, q, pm, t):
@@ -344,49 +346,13 @@ def hamiltonian_appendix(which: str, p: ParameterSet, q, pm, t):
 
 
 def appendix_gradients(which: str, p: ParameterSet, q, pm, t):
-    """(d(tH)/dq, d(tH)/dp) for the selected canonical system."""
-    q = np.asarray(q, dtype=complex)
-    pm = np.asarray(pm, dtype=complex)
-    e = complex(p.eta)
-    a = [complex(v) for v in p.alpha]
-    if which == "p5":
-        (q1,), (p1,) = q, pm
-        dq = (2 * q1 - 1) * p1 * (p1 + t) - p1 * (e + a[2] - a[3]) + t * a[3]
-        dp = q1 * (q1 - 1) * (2 * p1 + t) - q1 * (e + a[2] - a[3]) + (e - a[3])
-        return np.array([dq]), np.array([dp])
-    if which == "p3":
-        (q1,), (p1,) = q, pm
-        dq = 2 * q1 * p1 * (p1 - 1) + (e + a[3]) * p1 - e
-        dp = q1 * q1 * (2 * p1 - 1) + (e + a[3]) * q1 + t
-        return np.array([dq]), np.array([dp])
-    q1, q2 = q
-    p1, p2 = pm
-    if which == "n2r1":
-        dq1 = ((2 * q1 - 1) * p1 * (p1 + t) - (e + a[2] - a[3] - a[5]) * p1 + a[3] * t
-               + p1 * q2 * p2 + (q1 * p1 + a[3]) * p2 + (q1 - 1) * p1 * p2)
-        dq2 = ((q1 - 1) * p1 * p2
-               + (2 * q2 - 1) * p2 * (p2 + t) - (e + a[2] + a[4] - a[5]) * p2 + a[5] * t)
-        dp1 = (q1 * (q1 - 1) * (2 * p1 + t) - (e + a[2] - a[3] - a[5]) * q1
-               + (e - a[3] - a[5]) + (q1 - 1) * q2 * p2 + (q1 - 1) * q1 * p2)
-        dp2 = ((q1 - 1) * p1 * q2 + (q1 - 1) * (q1 * p1 + a[3])
-               + q2 * (q2 - 1) * (2 * p2 + t) - (e + a[2] + a[4] - a[5]) * q2 + (e - a[5]))
-        return np.array([dq1, dq2]), np.array([dp1, dp2])
-    if which == "n2r2":
-        dq1 = 2 * q1 * p1 * (p1 - 1) + (e + a[3]) * p1 - a[3] + p1 * q2 * p2
-        dq2 = (q1 * p1 * p2 + p1 * (2 * q2 * p2 + a[5])
-               + 2 * q2 * p2 * (p2 - 1) + (e + a[3] + a[4] + a[5]) * p2 - a[5])
-        dp1 = (q1 * q1 * (2 * p1 - 1) + (e + a[3]) * q1 + t
-               + q1 * q2 * p2 + q2 * (q2 * p2 + a[5]))
-        dp2 = (q1 * p1 * q2 + p1 * q2 * q2
-               + q2 * q2 * (2 * p2 - 1) + (e + a[3] + a[4] + a[5]) * q2 + t)
-        return np.array([dq1, dq2]), np.array([dp1, dp2])
-    if which == "n2r3":
-        dq1 = 2 * q1 * p1 * (p1 - 1) + (e + a[3]) * p1 - a[3] + p1 * q2 * p2
-        dq2 = q1 * p1 * p2 + p1 + 2 * q2 * p2 * p2 + (e + a[3] + a[5]) * p2 - 1
-        dp1 = q1 * q1 * (2 * p1 - 1) + (e + a[3]) * q1 + q1 * q2 * p2 + q2
-        dp2 = q1 * p1 * q2 + 2 * q2 * q2 * p2 + (e + a[3] + a[5]) * q2 + t
-        return np.array([dq1, dq2]), np.array([dp1, dp2])
-    raise ValueError(f"unknown canonical system {which!r}")
+    """(d(tH)/dq, d(tH)/dp) for the selected canonical system.
+
+    Derived from :func:`hamiltonian_appendix` itself: every canonical t H
+    has degree at most 2 in each single coordinate, where the central
+    difference is exact at any step (see :func:`_central_partials`).
+    """
+    return _central_partials(lambda a, b: hamiltonian_appendix(which, p, a, b, t), q, pm, 1.0)
 
 
 def appendix_a_field(which: str, p: ParameterSet, q, pm, t):
@@ -419,27 +385,36 @@ def appendix_a_map(which: str, p: ParameterSet, x, y):
     raise ValueError(f"unknown canonical system {which!r}")
 
 
-def state_partials(f, x, y):
+def _central_partials(f, x, y, rel_step):
     """Central-difference partials (df/dx_i, df/dy_i) of a state function.
 
     f(x, y) returns a scalar or an array; the partials are stacked along a
     new first axis, one row per coordinate.  Each coordinate v is stepped
-    by ``_FD_STEP * max(1, |v|)`` in a plus and a minus copy of the state,
-    and restored once the difference is taken, so x and y are left alone
-    and the O(step^2) bias is negligible for the smooth rational functions
-    used here.
+    by ``rel_step * max(1, |v|)`` in a plus and a minus copy of the state,
+    and restored once the difference is taken, so x and y are left alone.
+    Where f has degree at most 2 in v the difference is exact at any step,
+    and a step at the scale of v keeps its rounding at the scale of f.
     """
     plus = [np.array(x, dtype=complex), np.array(y, dtype=complex)]
     minus = [a.copy() for a in plus]
     grads = ([], [])
     for k in (0, 1):
         for i, v in enumerate(plus[k].tolist()):
-            step = _FD_STEP * max(1.0, abs(v))
+            step = rel_step * max(1.0, abs(v))
             plus[k][i] = v + step
             minus[k][i] = v - step
             grads[k].append((f(*plus) - f(*minus)) / (2 * step))
             plus[k][i] = minus[k][i] = v
     return np.array(grads[0]), np.array(grads[1])
+
+
+def state_partials(f, x, y):
+    """Central-difference partials (df/dx_i, df/dy_i) of a state function.
+
+    The relative step ``_FD_STEP`` makes the O(step^2) bias negligible for
+    the smooth rational functions used here (see :func:`_central_partials`).
+    """
+    return _central_partials(f, x, y, _FD_STEP)
 
 
 def pushforward_field(map_fn, field, x, y, t, flip=False):
@@ -507,6 +482,7 @@ _DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,  # minus 
                            -92097 / 339200, 187 / 2100, 1 / 40])
 
 _MAX_STATE = 1e10
+_MAX_STEPS = 200_000        # attempted steps, accepted and rejected
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -527,7 +503,7 @@ class Trajectory:
 
 
 def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
-              dense_ts=None, max_steps=200_000, fixed_step=None) -> Trajectory:
+              dense_ts=None, fixed_step=None) -> Trajectory:
     """Embedded Dormand-Prince 5(4) integration of dstate/dt = field(t, state).
 
     Local error per step is held below atol + rtol * |state| componentwise.
@@ -580,7 +556,7 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
                 dense_idx += 1
         if (t1 - t) * direction <= end_tol:
             break
-        if steps + rejected > max_steps:
+        if steps + rejected > _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted near t = {t:.6g}")
         if np.abs(y).max() > _MAX_STATE:
             raise IntegrationError(f"state blow-up near t = {t:.6g} (movable pole?)")

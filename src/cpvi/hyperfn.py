@@ -19,6 +19,7 @@ d/dt F(a; b; t) = (prod a / prod b) F(a + 1; b + 1; t) (DLMF 16.3.1), so
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,38 +87,14 @@ def _check_domain(spec: HGSpec, t: complex):
         raise SeriesError(f"series diverges for |t| >= 1 (got |t| = {abs(t):.6g})")
 
 
-def _neumaier_add(total: float, comp: float, value: float):
-    t = total + value
-    if abs(total) >= abs(value):
-        comp += (total - t) + value
-    else:
-        comp += (value - t) + total
-    return t, comp
-
-
-class _CompensatedSum:
-    """Neumaier-compensated accumulator for complex terms."""
-
-    __slots__ = ("re", "im", "cre", "cim")
-
-    def __init__(self):
-        self.re = self.im = self.cre = self.cim = 0.0
-
-    def add(self, z: complex):
-        self.re, self.cre = _neumaier_add(self.re, self.cre, z.real)
-        self.im, self.cim = _neumaier_add(self.im, self.cim, z.imag)
-
-    @property
-    def value(self) -> complex:
-        return complex(self.re + self.cre, self.im + self.cim)
-
-
 def eval_series(spec: HGSpec, t: complex, rtol: float = 1e-12):
     """Sum the series at t.  Returns (value, terms_used).
 
     Stops once three consecutive terms are each below rtol times the
     running partial sum (guards against even/odd term oscillation); the
-    hard cap is ``MAX_TERMS``.
+    hard cap is ``MAX_TERMS``.  The value is ``math.fsum`` of the real and
+    imaginary parts of the terms, so it is correctly rounded whatever the
+    cancellation; the plain running total serves the stopping rule only.
     """
     if rtol <= 0:
         raise ValueError("rtol must be positive")
@@ -125,17 +102,18 @@ def eval_series(spec: HGSpec, t: complex, rtol: float = 1e-12):
     _check_domain(spec, t)
     if t == 0:
         return 1.0 + 0.0j, 1
-    acc = _CompensatedSum()
-    acc.add(1.0 + 0.0j)
-    term = 1.0 + 0.0j
+    re, im = array("d", [1.0]), array("d", [0.0])
+    total = term = 1.0 + 0.0j
     small_run = 0
     for i in range(1, MAX_TERMS + 1):
         term *= t * spec.term_ratio(i)
-        acc.add(term)
-        if abs(term) < rtol * abs(acc.value):
+        re.append(term.real)
+        im.append(term.imag)
+        total += term
+        if abs(term) < rtol * abs(total):
             small_run += 1
             if small_run >= _CONVERGED_RUN:
-                return acc.value, i + 1
+                return complex(math.fsum(re), math.fsum(im)), i + 1
         else:
             small_run = 0
     raise SeriesError(f"no convergence within {MAX_TERMS} terms at t = {t}")

@@ -175,25 +175,20 @@ def sample_generic(n: int, seed: int, margin: float = 0.05,
 
     Deterministic in ``seed``; raises :class:`SamplingError` if rejection
     sampling fails within ``max_attempts`` draws (margin too demanding).
+    This is :func:`sample_degenerate` at level 0.
     """
-    rng = np.random.default_rng(seed)
-    m = 2 * n + 2
-    for _ in range(max_attempts):
-        draw = rng.uniform(-0.45, 0.75, m)
-        draw += (1.0 - draw.sum()) / m
-        eta = rng.uniform(-0.75, 0.75)
-        p = ParameterSet(n, tuple(complex(a) for a in draw), complex(eta), 0)
-        if genericity_margin(p) >= margin:
-            return p
-    raise SamplingError(
-        f"no generic set with margin {margin} after {max_attempts} attempts (n={n})")
+    return sample_degenerate(n, 0, seed, margin, max_attempts)
 
 
 def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
                       max_attempts: int = 5000) -> ParameterSet:
-    """Draw a real confluent set of level r with the window margins enforced."""
-    if not 1 <= r <= n + 1:
-        raise ValueError(f"confluence level {r} out of range 1..{n + 1}")
+    """Draw a real set of level r (0 generic) with the window margins enforced.
+
+    alpha_0, alpha_2, ..., alpha_{2r-2} are zero; the other entries are
+    drawn uniformly and shifted to sum to 1.
+    """
+    if not 0 <= r <= n + 1:
+        raise ValueError(f"confluence level {r} out of range 0..{n + 1}")
     rng = np.random.default_rng(seed)
     m = 2 * n + 2
     free = [i for i in range(m) if i % 2 == 1 or i >= 2 * r]
@@ -210,32 +205,30 @@ def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
         f"no level-{r} set with margin {margin} after {max_attempts} attempts (n={n})")
 
 
-def sample_rational_generic(n: int, seed: int, denominator: int = 97,
-                            max_attempts: int = 5000) -> ParameterSet:
+_RATIONAL_DENOMINATOR = 97
+_RATIONAL_ATTEMPTS = 5000
+
+
+def sample_rational_generic(n: int, seed: int) -> ParameterSet:
     """Generic set with exact ``Fraction`` entries and non-integer windows.
 
-    Every window sum of even length (any start, any length up to a full
-    period) is checked to be a non-integer exactly, which is what the
-    exact recurrence/closed-form comparison divides by.
+    Entries are multiples of 1/97.  Every window sum of even length (any
+    start, any length up to a full period) is checked to be a non-integer
+    exactly, which is what the exact recurrence/closed-form comparison
+    divides by.
     """
     rng = np.random.default_rng(seed)
     m = 2 * n + 2
-    for _ in range(max_attempts):
+    for _ in range(_RATIONAL_ATTEMPTS):
         nums = rng.integers(-40, 61, m)
-        nums[-1] = denominator - int(nums[:-1].sum())
-        alpha = tuple(Fraction(int(v), denominator) for v in nums)
+        nums[-1] = _RATIONAL_DENOMINATOR - int(nums[:-1].sum())
+        alpha = tuple(Fraction(int(v), _RATIONAL_DENOMINATOR) for v in nums)
         p = ParameterSet(n, alpha, Fraction(0), 0)
-        ok = True
-        for start in range(m):
-            for card in range(2, m, 2):
-                if p.partial_sum(start, card - 1).denominator == 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(p.partial_sum(start, card - 1).denominator != 1
+               for start in range(m) for card in range(2, m, 2)):
             return p
-    raise SamplingError(f"no rational generic set after {max_attempts} attempts (n={n})")
+    raise SamplingError(
+        f"no rational generic set after {_RATIONAL_ATTEMPTS} attempts (n={n})")
 
 
 def degenerate_replace(p: ParameterSet, eps) -> ParameterSet:

@@ -98,6 +98,10 @@ class TestSampling:
         assert sample_generic(3, seed=3) == sample_generic(3, seed=3)
         assert sample_degenerate(2, 1, seed=4) == sample_degenerate(2, 1, seed=4)
 
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 5), (3, 17), (5, 2)])
+    def test_generic_is_level_zero(self, n, seed):
+        assert sample_generic(n, seed) == sample_degenerate(n, 0, seed)
+
     def test_unreasonable_margin_fails(self):
         with pytest.raises(SamplingError):
             sample_generic(2, seed=1, margin=0.49, max_attempts=50)

@@ -108,6 +108,13 @@ class TestRelations:
         assert worst["commute"] < 1e-12
         assert worst["alpha_total"] < 1e-14
 
+    def test_braid_deviation_is_relative_to_the_state_scale(self):
+        # this word passes through a state of modulus about 160, where
+        # rounding alone puts the absolute deviation near 1e-11
+        p = sample_generic(1, seed=10)
+        x, y = sample_regular_state(1, np.random.default_rng(10), 0.4)
+        assert word_deviation((0, 1) * 3, x, y, p, 0.4) < 1e-12
+
     def test_word_error_reports_position(self):
         p = sample_generic(1, seed=2)
         x = np.array([1.0, 1.2], dtype=complex)
