@@ -1,13 +1,19 @@
 """Hamiltonian vector fields of the hierarchy and a generic integrator.
 
-Three families of flows live here.  The flow kernels of the first two
-(coupled, symmetric, confluent) are hand-written polynomial gradients for
-speed; the tests hold each one to its Hamiltonian exactly, with a
-unit-step five-point stencil that has no truncation error at the degrees
-these Hamiltonians have.  The gradients of the canonical systems are
-derived from their Hamiltonians.  Each field has one kernel; the rhs
-closures of the first two families build its parameter constants once,
-the public field functions on every call:
+Three families of flows live here.  Each flow family of the first two
+(coupled, symmetric, confluent at every level) has exactly one kernel: a
+hand-written polynomial gradient, written as a scalar loop over Python
+complex numbers.  It reads the flat state as one list and returns the
+flat field as one list.  The states have length at most 2n+2, and at that
+size numpy's fixed cost per array operation (about a microsecond) would
+dominate a field call; the scalar loop costs a few dozen complex
+operations per site instead.  The rhs closures build a kernel's
+parameter constants once, the public field and gradient functions on
+every call, and both call the same kernel.  The tests hold each kernel
+to its Hamiltonian exactly, with a unit-step five-point stencil that has
+no truncation error at the degrees these Hamiltonians have.  The
+gradients of the canonical systems are derived from their Hamiltonians.
+The families are:
 
 * the rank-n coupled Painleve VI system in canonical variables
   (q_1..q_n, p_1..p_n), with time scaled by t(t-1);
@@ -20,16 +26,17 @@ the public field functions on every call:
   the coordinate-map checks, not in the fields.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with complex
-state support, samples at requested times taken at step endpoints (steps
-are shortened to land on them), and movable-pole diagnostics (steps
-collapse near a pole; the abort reports the location estimate instead of
-attempting continuation).
+state support; its stage states, fifth-order solution and error estimate
+are all read off one tableau.  Samples at requested times are taken at
+step endpoints (steps are shortened to land on them), and movable poles
+are diagnosed (steps collapse near a pole; the abort reports the
+location estimate instead of attempting continuation).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -45,6 +52,11 @@ _FD_STEP = 1e-5
 
 def _cvec(v):
     return np.asarray(v, dtype=complex)
+
+
+def _state_list(a, b):
+    """The flat state (a, b) as one list of Python complex numbers."""
+    return _cvec(a).tolist() + _cvec(b).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -87,51 +99,60 @@ def hamiltonian_cp6(p: ParameterSet, q, pm, t):
     return total
 
 
-def _cp6_kernel(c, q, pm, t):
-    """(dH/dq, dH/dp) of the coupled Hamiltonian from its site constants.
+def _cp6_kernel(c, v, t, scale):
+    """scale * (dH/dp, -dH/dq) of the coupled Hamiltonian on the flat state v = (q, p).
 
-    Scalar arithmetic on Python complex numbers: at the ranks in use a
-    site costs a few dozen operations, far below numpy's per-call cost.
+    ``c`` holds the site constants, ``v`` is a list of Python complex
+    numbers and so is the result.  With scale 1 the two halves are the
+    gradient, with 1/(t(t-1)) they are the field.  The coupling
+    sum_{i<j} u_i w_j (A_i p_j + p_i A_j), with u = q - 1, w = q - t and
+    A = q p + alpha_{2i-1}, is differentiated through the prefix sums of
+    u A and u p over i < j and the suffix sums of w p and w A over j > i,
+    so a call costs O(n).
     """
-    t = complex(t)
-    q, pm = q.tolist(), pm.tolist()
-    dq, dp = [], []
-    for (big_k, c0, c1, k0, kap, _), qi, pi in zip(c, q, pm):
+    n = len(c)
+    q, pm = v[:n], v[n:]
+    a = [qi * pi + ci[5] for ci, qi, pi in zip(c, q, pm)]
+    suffix = []
+    suf_wp = suf_wa = 0j
+    for qi, pi, ai in zip(q[::-1], pm[::-1], a[::-1]):
+        suffix.append((suf_wp, suf_wa))
+        w = qi - t
+        suf_wp += w * pi
+        suf_wa += w * ai
+    fq, fp = [], []
+    pre_ua = pre_up = 0j
+    for (big_k, c0, c1, k0, kap, _), qi, pi, ai, (suf_wp, suf_wa) in zip(
+            c, q, pm, a, reversed(suffix)):
         lin = c0 + c1 * t
-        dq.append(((3 * qi - 2 * (1 + t)) * qi + t) * pi * pi - (2 * big_k * qi - lin) * pi + kap)
-        dp.append(2 * qi * (qi - 1) * (qi - t) * pi - ((big_k * qi - lin) * qi + k0 * t))
-    n = len(q)
-    for i in range(n):
-        qi, pi, ai = q[i], pm[i], c[i][5]
-        u = qi - 1
-        for j in range(i + 1, n):
-            qj, pj, aj = q[j], pm[j], c[j][5]
-            v = qj - t
-            bracket = (qi * pi + ai) * pj + pi * (qj * pj + aj)
-            uvp = u * v * pi * pj
-            dq[i] += v * bracket + uvp
-            dq[j] += u * bracket + uvp
-            dp[i] += u * v * (qi * pj + qj * pj + aj)
-            dp[j] += u * v * (qi * pi + ai + pi * qj)
-    return np.array(dq), np.array(dp)
+        u, w = qi - 1, qi - t
+        dq = (((3 * qi - 2 * (1 + t)) * qi + t) * pi * pi - (2 * big_k * qi - lin) * pi + kap
+              + pi * (pre_ua + w * pre_up + suf_wa) + ai * (pre_up + suf_wp) + u * pi * suf_wp)
+        dp = (2 * qi * u * w * pi - ((big_k * qi - lin) * qi + k0 * t)
+              + w * (pre_ua + qi * pre_up) + u * (qi * suf_wp + suf_wa))
+        fq.append(dp * scale)
+        fp.append(dq * -scale)
+        pre_ua += u * ai
+        pre_up += u * pi
+    return fq + fp
+
+
+def _cp6_scale(t):
+    if t == 0 or t == 1:
+        raise IntegrationError("the coupled system is singular at t in {0, 1}")
+    return 1.0 / (t * (t - 1.0))
 
 
 def cp6_gradients(p: ParameterSet, q, pm, t):
     """(dH/dq, dH/dp) of the coupled Hamiltonian, in closed form."""
-    return _cp6_kernel(_cp6_constants(p), _cvec(q), _cvec(pm), t)
-
-
-def _cp6_field(c, q, pm, t):
-    if t == 0 or t == 1:
-        raise IntegrationError("the coupled system is singular at t in {0, 1}")
-    dq, dp = _cp6_kernel(c, q, pm, t)
-    s = 1.0 / (t * (t - 1.0))
-    return dp * s, dq * -s
+    f = np.array(_cp6_kernel(_cp6_constants(p), _state_list(q, pm), complex(t), 1.0))
+    return -f[p.n:], f[:p.n]
 
 
 def coupled_p6_field(p: ParameterSet, q, pm, t):
     """(dq/dt, dp/dt): the canonical field divided by t(t-1)."""
-    return _cp6_field(_cp6_constants(p), _cvec(q), _cvec(pm), t)
+    f = np.array(_cp6_kernel(_cp6_constants(p), _state_list(q, pm), complex(t), _cp6_scale(t)))
+    return f[:p.n], f[p.n:]
 
 
 def riccati_rhs(p: ParameterSet, q, t):
@@ -145,16 +166,17 @@ def riccati_rhs(p: ParameterSet, q, t):
 
 
 def _window_weights(p: ParameterSet):
+    """Lists (big, odd) of the window sums alpha_{2i+2} + ... + alpha_{2n+1} and alpha_{2i+1}."""
     n = p.n
-    big = np.array([complex(p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1)) for i in range(n + 1)])
-    odd = np.array([complex(p.alpha[2 * i + 1]) for i in range(n + 1)])
+    big = [complex(p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1)) for i in range(n + 1)]
+    odd = [complex(p.alpha[2 * i + 1]) for i in range(n + 1)]
     return big, odd
 
 
 def hamiltonian_symmetric(p: ParameterSet, x, y, t):
     x = _cvec(x)
     y = _cvec(y)
-    big, odd = _window_weights(p)
+    big, odd = (np.array(c) for c in _window_weights(p))
     s = x * (x * y + odd)                     # s_i = x_i (x_i y_i + alpha_{2i+1})
     ybelow = np.concatenate(([0.0], np.cumsum(y)[:-1]))
     part_t = np.sum(0.5 * x * x * y * y - big * x * y + s * ybelow)
@@ -162,24 +184,30 @@ def hamiltonian_symmetric(p: ParameterSet, x, y, t):
     return part_t / t + part_1 / (1.0 - t)
 
 
-def _symmetric_field(c, x, y, t):
-    """(dx/dt, dy/dt) = (dH/dy, -dH/dx) of the symmetric system from its window weights."""
+def _symmetric_kernel(c, v, t):
+    """(dH/dy, -dH/dx) of the symmetric Hamiltonian on the flat state v = (x, y)."""
     if t == 0 or t == 1:
         raise IntegrationError("the symmetric system is singular at t in {0, 1}")
     big, odd = c
-    xy = x * y
-    w = xy + odd
-    s = x * w                                 # s_i = x_i (x_i y_i + alpha_{2i+1})
-    w += xy                                   # 2 x_i y_i + alpha_{2i+1}
-    cy = y.cumsum()                           # ybelow = cy - y
-    cs = s.cumsum()                           # stail = stot - cs
-    ytot, stot = cy[-1], cs[-1]
-    xx = x * x
+    m = len(big)
+    x, y = v[:m], v[m:]
     it = 1.0 / t
     iu = 1.0 / (1.0 - t)
-    dy = (xx * cy - big * x + stot - cs) * it + (stot + ytot * xx) * iu
-    dx = ((xy - big) * y + w * (cy - y)) * it + w * (ytot * iu)
-    return dy, -dx
+    s = [xi * (xi * yi + oi) for xi, yi, oi in zip(x, y, odd)]
+    ytot = sum(y)
+    stail = sum(s)                            # sum of s_j over j > i after the update
+    stot_u, ytot_u = stail * iu, ytot * iu
+    ybelow = 0j
+    fx, fy = [], []
+    for xi, yi, si, bi, oi in zip(x, y, s, big, odd):
+        xy = xi * yi
+        w = xy + xy + oi
+        xx = xi * xi
+        stail -= si
+        fy.append(-(((xy - bi) * yi + w * ybelow) * it + w * ytot_u))
+        ybelow += yi
+        fx.append((xx * ybelow - bi * xi + stail) * it + stot_u + ytot_u * xx)
+    return fx + fy
 
 
 def symmetric_gradients(p: ParameterSet, x, y, t):
@@ -189,7 +217,8 @@ def symmetric_gradients(p: ParameterSet, x, y, t):
 
 
 def symmetric_field(p: ParameterSet, x, y, t):
-    return _symmetric_field(_window_weights(p), _cvec(x), _cvec(y), t)
+    f = np.array(_symmetric_kernel(_window_weights(p), _state_list(x, y), complex(t)))
+    return f[:p.n + 1], f[p.n + 1:]
 
 
 def hamiltonian_degenerate(p: ParameterSet, x, y, t):
@@ -197,7 +226,7 @@ def hamiltonian_degenerate(p: ParameterSet, x, y, t):
     x = _cvec(x)
     y = _cvec(y)
     r = p.degeneracy
-    big, odd = _window_weights(p)
+    big, odd = (np.array(c) for c in _window_weights(p))
     s = x * (x * y + odd)
     stail = np.concatenate((np.cumsum(s[::-1])[::-1][1:], [0.0]))
     th = np.sum(0.5 * x * y * (x * y - 2 * big))
@@ -207,49 +236,62 @@ def hamiltonian_degenerate(p: ParameterSet, x, y, t):
 
 
 def _degenerate_constants(p: ParameterSet):
-    """Window weights, the level r and the 0/1 mask of the active sites i >= r-1."""
+    """Window weights and the number r-1 of chain sites i < r-1 of a level-r set."""
     r = p.degeneracy
     if not 1 <= r <= p.n + 1:
         raise ValueError("degenerate_field needs a parameter set of level 1..n+1")
     big, odd = _window_weights(p)
-    return big, odd, r, (np.arange(p.n + 1) >= r - 1).astype(float)
+    return big, odd, r - 1
 
 
-def _degenerate_kernel(c, x, y, t):
-    """(d(tH)/dx, d(tH)/dy) of the level-r Hamiltonian from its constants."""
-    big, odd, r, act = c
-    xy = x * y
-    w = xy + odd
-    s = x * w
-    w += xy
-    ya = y * act
-    cya = ya.cumsum()
-    yact = cya - ya                           # sum of y over active sites r-1 <= i < k
-    cs = s.cumsum()                           # stail = cs[-1] - cs
-    xx = x * x
-    dty = xx * (y + yact) - big * x + act * (t * x[0] + cs[-1] - cs)
-    dty[: r - 1] += x[1:r]
-    dtx = (xy - big) * y + w * yact
-    dtx[1:r] += y[: r - 1]
-    dtx[0] += t * cya[-1]
-    return dtx, dty
+def _degenerate_kernel(c, v, t, scale):
+    """scale * (d(tH)/dy, -d(tH)/dx) of the level-r Hamiltonian on the flat state v = (x, y).
+
+    The chain sites i < r-1 couple only to their neighbours, through
+    x_{i+1} y_i; the active sites i >= r-1 carry the symmetric-form terms
+    and t x_0 y_i.  With scale 1 the halves are the gradient of t H, with
+    1/t they are the field.
+    """
+    big, odd, k = c
+    m = len(big)
+    x, y = v[:m], v[m:]
+    fx, fy = [], []
+    ylink = 0j                                # y_{i-1} at the chain sites and at i = r-1
+    for i in range(k):
+        xi, yi, bi = x[i], y[i], big[i]
+        fx.append((xi * (xi * yi - bi) + x[i + 1]) * scale)
+        fy.append(((bi - xi * yi) * yi - ylink) * scale)
+        ylink = yi
+    s = [xi * (xi * yi + oi) for xi, yi, oi in zip(x[k:], y[k:], odd[k:])]
+    tail = t * x[0] + sum(s)                  # t x_0 + sum of s_j over j > i after the update
+    ya = 0j                                   # sum of y_j over the active sites j < i
+    for xi, yi, si, bi, oi in zip(x[k:], y[k:], s, big[k:], odd[k:]):
+        xy = xi * yi
+        tail -= si
+        fx.append((xi * xi * (yi + ya) - bi * xi + tail) * scale)
+        fy.append(((bi - xy) * yi - (xy + xy + oi) * ya - ylink) * scale)
+        ylink = 0j
+        ya += yi
+    fy[0] -= t * ya * scale                   # x_0 enters every t x_0 y_i
+    return fx + fy
 
 
 def degenerate_gradients(p: ParameterSet, x, y, t):
     """(d(tH)/dx, d(tH)/dy) of the level-r Hamiltonian."""
-    return _degenerate_kernel(_degenerate_constants(p), _cvec(x), _cvec(y), t)
+    f = np.array(_degenerate_kernel(_degenerate_constants(p), _state_list(x, y), complex(t), 1.0))
+    return -f[p.n + 1:], f[:p.n + 1]
 
 
-def _degenerate_field(c, x, y, t):
+def _degenerate_scale(t):
     if t == 0:
         raise IntegrationError("the confluent system is singular at t = 0")
-    dtx, dty = _degenerate_kernel(c, x, y, t)
-    it = 1.0 / t
-    return dty * it, dtx * -it
+    return 1.0 / t
 
 
 def degenerate_field(p: ParameterSet, x, y, t):
-    return _degenerate_field(_degenerate_constants(p), _cvec(x), _cvec(y), t)
+    c = _degenerate_constants(p)
+    f = np.array(_degenerate_kernel(c, _state_list(x, y), complex(t), _degenerate_scale(t)))
+    return f[:p.n + 1], f[p.n + 1:]
 
 
 def constraint_value(x, y, eta):
@@ -468,18 +510,21 @@ def riccati_residual(p: ParameterSet, q, dq, t):
 # adaptive integration
 
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_E = _DP_B5 - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,  # minus 4th order
-                           -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# rows 0..6: the stage coefficients a_{s,j} (row 6 equals b5, first same as
+# last); row 7: b5; row 8: the error weights b5 - b4
+_DP_TABLEAU = np.array([
+    [0.0] * 7,
+    [1 / 5] + [0.0] * 6,
+    [3 / 40, 9 / 40] + [0.0] * 5,
+    [44 / 45, -56 / 15, 32 / 9] + [0.0] * 4,
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729] + [0.0] * 3,
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656] + [0.0] * 2,
+    _DP_B5,
+    _DP_B5,
+    [b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4)],
+], dtype=complex)               # complex, so the stage products need no cast
 
 _MAX_STATE = 1e10
 _MAX_STEPS = 200_000        # attempted steps, accepted and rejected
@@ -519,21 +564,21 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
     y = np.asarray(state0, dtype=complex).copy()
-    t = float(t0)
-    direction = 1.0 if t1 >= t0 else -1.0
-    span = abs(t1 - t0)
+    t, t1 = float(t0), float(t1)      # times stay Python floats: numpy scalars slow the kernels
+    direction = 1.0 if t1 >= t else -1.0
+    span = abs(t1 - t)
     if span == 0:
         return Trajectory(np.array([t0]), y[None, :], 0, 0)
 
     f = np.asarray(field(t, y), dtype=complex)
     if fixed_step is not None:
-        h = abs(fixed_step)
+        h = abs(float(fixed_step))
     else:
         scale = atol + rtol * np.abs(y)
         d0 = np.sqrt(np.mean(np.abs(y / scale) ** 2))
         d1 = np.sqrt(np.mean(np.abs(f / scale) ** 2))
         h = min(span / 10.0, 0.01 * d0 / d1 if d1 > 0 else span / 10.0)
-        h = max(h, span * 1e-10)
+        h = float(max(h, span * 1e-10))
 
     end_tol = 1e-14 * max(1.0, abs(t1))
     if dense_ts is not None:
@@ -548,7 +593,10 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
         step_states = [y]
 
     steps = rejected = 0
-    K = np.empty((7, len(y)), dtype=complex)
+    m = len(y)
+    K = np.empty((7, m), dtype=complex)
+    K[0] = f
+    ay = np.abs(y)
     while True:
         if dense_ts is not None:
             while dense_idx < len(dense) and (dense[dense_idx] - t) * direction <= end_tol:
@@ -558,27 +606,28 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
             break
         if steps + rejected > _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted near t = {t:.6g}")
-        if np.abs(y).max() > _MAX_STATE:
+        if ay.max() > _MAX_STATE:
             raise IntegrationError(f"state blow-up near t = {t:.6g} (movable pole?)")
         h_step = min(h, abs(t1 - t))
         if dense_ts is not None and dense_idx < len(dense):
-            h_step = min(h_step, abs(dense[dense_idx] - t))
+            h_step = min(h_step, abs(float(dense[dense_idx]) - t))
         if h_step < 1e-13 * max(1.0, abs(t)):
             raise IntegrationError(
                 f"step size underflow near t = {t:.6g} (movable pole or singular point)")
         ht = h_step * direction
-        K[0] = f
+        tab = _DP_TABLEAU * ht
         for s in range(1, 7):
-            K[s] = field(t + _DP_C[s] * ht, y + ht * np.dot(_DP_A[s], K[:s]))
-        y5 = y + ht * np.dot(_DP_B5, K)
-        err_vec = ht * np.dot(_DP_E, K)
-        r = err_vec / (atol + rtol * np.maximum(np.abs(y), np.abs(y5)))
-        err = np.sqrt(np.vdot(r, r).real / len(r))
+            K[s] = field(t + _DP_C[s] * ht, y + np.dot(tab[s, :s], K[:s]))
+        dy5, err_vec = np.dot(tab[7:], K)
+        y5 = y + dy5
+        ay5 = np.abs(y5)
+        r = err_vec / (atol + rtol * np.maximum(ay, ay5))
+        err = math.sqrt(np.vdot(r, r).real / m)
         accepted = fixed_step is not None or err <= 1.0
         if accepted:
             t += ht
-            y = y5
-            f = K[6].copy()  # FSAL stage equals field(t, y5)
+            y, ay = y5, ay5
+            K[0] = K[6]      # first same as last: the stage equals field(t, y5)
             if dense_ts is None:
                 step_ts.append(t)
                 step_states.append(y)
@@ -597,32 +646,43 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
     return Trajectory(np.array(step_ts), np.array(step_states), steps, rejected)
 
 
-# flat-vector adapters ---------------------------------------------------
+# rhs closures on the flat state -------------------------------------------
 
 
-def _flat(field, m):
-    """rhs(t, v) of a field(a, b, t) -> (da/dt, db/dt) on the flat state v = (a, b), len(a) = m."""
+def symmetric_rhs(p: ParameterSet):
+    c = _window_weights(p)
 
     def rhs(t, v):
-        return np.concatenate(field(v[:m], v[m:], t))
+        return np.array(_symmetric_kernel(c, v.tolist(), t))
 
     return rhs
 
 
-def symmetric_rhs(p: ParameterSet):
-    return _flat(partial(_symmetric_field, _window_weights(p)), p.n + 1)
-
-
 def degenerate_rhs(p: ParameterSet):
-    return _flat(partial(_degenerate_field, _degenerate_constants(p)), p.n + 1)
+    c = _degenerate_constants(p)
+
+    def rhs(t, v):
+        return np.array(_degenerate_kernel(c, v.tolist(), t, _degenerate_scale(t)))
+
+    return rhs
 
 
 def cp6_rhs(p: ParameterSet):
-    return _flat(partial(_cp6_field, _cp6_constants(p)), p.n)
+    c = _cp6_constants(p)
+
+    def rhs(t, v):
+        return np.array(_cp6_kernel(c, v.tolist(), t, _cp6_scale(t)))
+
+    return rhs
 
 
 def appendix_rhs(which: str, p: ParameterSet):
-    return _flat(partial(appendix_a_field, which, p), APPENDIX_SOURCE[which][0])
+    m = APPENDIX_SOURCE[which][0]
+
+    def rhs(t, v):
+        return np.concatenate(appendix_a_field(which, p, v[:m], v[m:], t))
+
+    return rhs
 
 
 def linear_rhs(sys):

@@ -173,9 +173,9 @@ def sample_generic(n: int, seed: int, margin: float = 0.05,
                    max_attempts: int = 5000) -> ParameterSet:
     """Draw a real generic set with all non-resonance margins >= ``margin``.
 
-    Deterministic in ``seed``; raises :class:`SamplingError` if rejection
-    sampling fails within ``max_attempts`` draws (margin too demanding).
-    This is :func:`sample_degenerate` at level 0.
+    Deterministic in ``seed``; raises :class:`SamplingError` if the margin
+    cannot be met (see :func:`sample_degenerate`).  This is
+    :func:`sample_degenerate` at level 0.
     """
     return sample_degenerate(n, 0, seed, margin, max_attempts)
 
@@ -185,7 +185,10 @@ def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
     """Draw a real set of level r (0 generic) with the window margins enforced.
 
     alpha_0, alpha_2, ..., alpha_{2r-2} are zero; the other entries are
-    drawn uniformly and shifted to sum to 1.
+    drawn uniformly and shifted to sum to 1, up to ``max_attempts`` times.
+    If no draw meets the margin, one constructive draw follows
+    (:func:`_constructive_draw`); :class:`SamplingError` is raised only
+    when that cannot meet it either.
     """
     if not 0 <= r <= n + 1:
         raise ValueError(f"confluence level {r} out of range 0..{n + 1}")
@@ -201,8 +204,34 @@ def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
         p = ParameterSet(n, tuple(complex(a) for a in alpha), complex(eta), r)
         if genericity_margin(p) >= margin:
             return p
+    p = _constructive_draw(n, r, margin, rng)
+    if p is not None and genericity_margin(p) >= margin:
+        return p
     raise SamplingError(
         f"no level-{r} set with margin {margin} after {max_attempts} attempts (n={n})")
+
+
+def _constructive_draw(n: int, r: int, margin: float, rng):
+    """A level-r set with odd entries >= margin and free even entries >= margin/2.
+
+    All entries are then non-negative and sum to 1.  Every guarded window
+    has even length, so it holds an odd slot, and so does its complement
+    in the period: the window lies in [margin, 1 - margin].  At r = 0 the
+    odd total lies there too.  The floors leave 1 - (n+1) margin -
+    (n+1-r) margin/2 to share out at random; None if that is negative.
+    """
+    floor = np.zeros(2 * n + 2)
+    floor[1::2] = margin
+    floor[2 * r::2] = margin / 2
+    spare = 1.0 - floor.sum()
+    if spare < 0:
+        return None
+    free = np.flatnonzero(floor)
+    weights = rng.uniform(0.0, 1.0, len(free))
+    alpha = floor.copy()
+    alpha[free] += spare * weights / weights.sum()
+    eta = rng.uniform(-0.75, 0.75)
+    return ParameterSet(n, tuple(complex(a) for a in alpha), complex(eta), r)
 
 
 _RATIONAL_DENOMINATOR = 97

@@ -106,6 +106,31 @@ class TestSampling:
         with pytest.raises(SamplingError):
             sample_generic(2, seed=1, margin=0.49, max_attempts=50)
 
+    def test_rank_8_at_default_margin(self):
+        # the rejection loop fails here; the constructive draw meets the margin
+        p = sample_generic(8, seed=0)
+        assert abs(sum(p.alpha) - 1.0) < 1e-12
+        assert genericity_margin(p) >= 0.05
+
+    @staticmethod
+    def feasible_margin(n, r):
+        # largest margin with (n+1) margin + (n+1-r) margin/2 <= 1
+        return 1.0 / ((n + 1) + (n + 1 - r) / 2)
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 5) for r in range(n + 2)])
+    def test_constructive_draw_meets_feasible_margin(self, n, r):
+        margin = 0.95 * self.feasible_margin(n, r)
+        p = sample_degenerate(n, r, seed=3, margin=margin, max_attempts=1)
+        assert p.degeneracy == r and all(p.alpha[2 * i] == 0 for i in range(r))
+        assert abs(sum(p.alpha) - 1.0) < 1e-12
+        assert genericity_margin(p) >= margin
+
+    @pytest.mark.parametrize("n,r", [(1, 0), (2, 1), (3, 4)])
+    def test_infeasible_margin_still_fails(self, n, r):
+        with pytest.raises(SamplingError):
+            sample_degenerate(n, r, seed=3, margin=1.05 * self.feasible_margin(n, r),
+                              max_attempts=1)
+
     @pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)])
     def test_degenerate_sets(self, n, r):
         p = sample_degenerate(n, r, seed=13)
