@@ -1,18 +1,21 @@
 """Hamiltonian vector fields of the hierarchy and a generic integrator.
 
 Three families of flows live here.  Each flow family of the first two
-(coupled, symmetric, confluent at every level) has exactly one kernel: a
-hand-written polynomial gradient, written as a scalar loop over Python
-complex numbers.  It reads the flat state as one list and returns the
+(coupled, symmetric, confluent at every level) has exactly one kernel,
+and the kernel is the field: a hand-written polynomial gradient of the
+Hamiltonian, divided by the time factor, written as a scalar loop over
+Python complex numbers.  Each kernel raises IntegrationError at its own
+singular times.  It reads the flat state as one list and returns the
 flat field as one list.  The states have length at most 2n+2, and at that
 size numpy's fixed cost per array operation (about a microsecond) would
 dominate a field call; the scalar loop costs a few dozen complex
-operations per site instead.  The rhs closures build a kernel's
-parameter constants once, the public field and gradient functions on
-every call, and both call the same kernel.  The tests hold each kernel
-to its Hamiltonian exactly, with a unit-step five-point stencil that has
-no truncation error at the degrees these Hamiltonians have.  The
-gradients of the canonical systems are derived from their Hamiltonians.
+operations per site instead.  The rhs closure of a family builds the
+kernel's parameter constants once; the public field function builds that
+closure on every call and splits its flat result.  There are no separate
+gradient functions: the tests read each gradient off the field and hold
+it to its Hamiltonian exactly, with a unit-step five-point stencil that
+has no truncation error at the degrees these Hamiltonians have.  The
+fields of the canonical systems are derived from their Hamiltonians.
 The families are:
 
 * the rank-n coupled Painleve VI system in canonical variables
@@ -27,10 +30,10 @@ The families are:
 
 The integrator is an embedded Dormand-Prince 5(4) pair with complex
 state support; its stage states, fifth-order solution and error estimate
-are all read off one tableau.  Samples at requested times are taken at
-step endpoints (steps are shortened to land on them), and movable poles
-are diagnosed (steps collapse near a pole; the abort reports the
-location estimate instead of attempting continuation).
+are all read off one tableau.  Samples at requested times (by default t1
+alone) are taken at step endpoints (steps are shortened to land on them),
+and movable poles are diagnosed (steps collapse near a pole; the abort
+reports the location estimate instead of attempting continuation).
 """
 
 from __future__ import annotations
@@ -54,9 +57,11 @@ def _cvec(v):
     return np.asarray(v, dtype=complex)
 
 
-def _state_list(a, b):
-    """The flat state (a, b) as one list of Python complex numbers."""
-    return _cvec(a).tolist() + _cvec(b).tolist()
+def _split_field(rhs, a, b, t):
+    """A family's rhs at complex(t) on the state (a, b), split into its a and b halves."""
+    a = _cvec(a)
+    f = rhs(complex(t), np.concatenate((a, _cvec(b))))
+    return f[:len(a)], f[len(a):]
 
 
 # ----------------------------------------------------------------------
@@ -99,17 +104,19 @@ def hamiltonian_cp6(p: ParameterSet, q, pm, t):
     return total
 
 
-def _cp6_kernel(c, v, t, scale):
-    """scale * (dH/dp, -dH/dq) of the coupled Hamiltonian on the flat state v = (q, p).
+def _cp6_kernel(c, v, t):
+    """The field (dH/dp, -dH/dq) / (t(t-1)) of the coupled system on the flat state v = (q, p).
 
     ``c`` holds the site constants, ``v`` is a list of Python complex
-    numbers and so is the result.  With scale 1 the two halves are the
-    gradient, with 1/(t(t-1)) they are the field.  The coupling
+    numbers and so is the result.  The coupling
     sum_{i<j} u_i w_j (A_i p_j + p_i A_j), with u = q - 1, w = q - t and
     A = q p + alpha_{2i-1}, is differentiated through the prefix sums of
     u A and u p over i < j and the suffix sums of w p and w A over j > i,
     so a call costs O(n).
     """
+    if t == 0 or t == 1:
+        raise IntegrationError("the coupled system is singular at t in {0, 1}")
+    scale = 1.0 / (t * (t - 1.0))
     n = len(c)
     q, pm = v[:n], v[n:]
     a = [qi * pi + ci[5] for ci, qi, pi in zip(c, q, pm)]
@@ -137,22 +144,9 @@ def _cp6_kernel(c, v, t, scale):
     return fq + fp
 
 
-def _cp6_scale(t):
-    if t == 0 or t == 1:
-        raise IntegrationError("the coupled system is singular at t in {0, 1}")
-    return 1.0 / (t * (t - 1.0))
-
-
-def cp6_gradients(p: ParameterSet, q, pm, t):
-    """(dH/dq, dH/dp) of the coupled Hamiltonian, in closed form."""
-    f = np.array(_cp6_kernel(_cp6_constants(p), _state_list(q, pm), complex(t), 1.0))
-    return -f[p.n:], f[:p.n]
-
-
 def coupled_p6_field(p: ParameterSet, q, pm, t):
     """(dq/dt, dp/dt): the canonical field divided by t(t-1)."""
-    f = np.array(_cp6_kernel(_cp6_constants(p), _state_list(q, pm), complex(t), _cp6_scale(t)))
-    return f[:p.n], f[p.n:]
+    return _split_field(cp6_rhs(p), q, pm, t)
 
 
 def riccati_rhs(p: ParameterSet, q, t):
@@ -185,7 +179,7 @@ def hamiltonian_symmetric(p: ParameterSet, x, y, t):
 
 
 def _symmetric_kernel(c, v, t):
-    """(dH/dy, -dH/dx) of the symmetric Hamiltonian on the flat state v = (x, y)."""
+    """The field (dH/dy, -dH/dx) of the symmetric system on the flat state v = (x, y)."""
     if t == 0 or t == 1:
         raise IntegrationError("the symmetric system is singular at t in {0, 1}")
     big, odd = c
@@ -210,15 +204,8 @@ def _symmetric_kernel(c, v, t):
     return fx + fy
 
 
-def symmetric_gradients(p: ParameterSet, x, y, t):
-    """(dH/dx, dH/dy) of the symmetric Hamiltonian, in closed form."""
-    fx, fy = symmetric_field(p, x, y, t)
-    return -fy, fx
-
-
 def symmetric_field(p: ParameterSet, x, y, t):
-    f = np.array(_symmetric_kernel(_window_weights(p), _state_list(x, y), complex(t)))
-    return f[:p.n + 1], f[p.n + 1:]
+    return _split_field(symmetric_rhs(p), x, y, t)
 
 
 def hamiltonian_degenerate(p: ParameterSet, x, y, t):
@@ -244,14 +231,16 @@ def _degenerate_constants(p: ParameterSet):
     return big, odd, r - 1
 
 
-def _degenerate_kernel(c, v, t, scale):
-    """scale * (d(tH)/dy, -d(tH)/dx) of the level-r Hamiltonian on the flat state v = (x, y).
+def _degenerate_kernel(c, v, t):
+    """The field (d(tH)/dy, -d(tH)/dx) / t of the level-r system on the flat state v = (x, y).
 
     The chain sites i < r-1 couple only to their neighbours, through
     x_{i+1} y_i; the active sites i >= r-1 carry the symmetric-form terms
-    and t x_0 y_i.  With scale 1 the halves are the gradient of t H, with
-    1/t they are the field.
+    and t x_0 y_i.
     """
+    if t == 0:
+        raise IntegrationError("the confluent system is singular at t = 0")
+    scale = 1.0 / t
     big, odd, k = c
     m = len(big)
     x, y = v[:m], v[m:]
@@ -276,22 +265,8 @@ def _degenerate_kernel(c, v, t, scale):
     return fx + fy
 
 
-def degenerate_gradients(p: ParameterSet, x, y, t):
-    """(d(tH)/dx, d(tH)/dy) of the level-r Hamiltonian."""
-    f = np.array(_degenerate_kernel(_degenerate_constants(p), _state_list(x, y), complex(t), 1.0))
-    return -f[p.n + 1:], f[:p.n + 1]
-
-
-def _degenerate_scale(t):
-    if t == 0:
-        raise IntegrationError("the confluent system is singular at t = 0")
-    return 1.0 / t
-
-
 def degenerate_field(p: ParameterSet, x, y, t):
-    c = _degenerate_constants(p)
-    f = np.array(_degenerate_kernel(c, _state_list(x, y), complex(t), _degenerate_scale(t)))
-    return f[:p.n + 1], f[p.n + 1:]
+    return _split_field(degenerate_rhs(p), x, y, t)
 
 
 def constraint_value(x, y, eta):
@@ -387,21 +362,17 @@ def hamiltonian_appendix(which: str, p: ParameterSet, q, pm, t):
     raise ValueError(f"unknown canonical system {which!r}")
 
 
-def appendix_gradients(which: str, p: ParameterSet, q, pm, t):
-    """(d(tH)/dq, d(tH)/dp) for the selected canonical system.
-
-    Derived from :func:`hamiltonian_appendix` itself: every canonical t H
-    has degree at most 2 in each single coordinate, where the central
-    difference is exact at any step (see :func:`_central_partials`).
-    """
-    return _central_partials(lambda a, b: hamiltonian_appendix(which, p, a, b, t), q, pm, 1.0)
-
-
 def appendix_a_field(which: str, p: ParameterSet, q, pm, t):
-    """(dq/dt, dp/dt) of the selected canonical system in its own time."""
+    """(dq/dt, dp/dt) of the selected canonical system in its own time.
+
+    The gradient of t H is derived from :func:`hamiltonian_appendix`
+    itself: every canonical t H has degree at most 2 in each single
+    coordinate, where the central difference is exact at any step (see
+    :func:`_central_partials`).
+    """
     if t == 0:
         raise IntegrationError("canonical systems are singular at t = 0")
-    dq, dp = appendix_gradients(which, p, q, pm, t)
+    dq, dp = _central_partials(lambda a, b: hamiltonian_appendix(which, p, a, b, t), q, pm, 1.0)
     return dp / t, -dq / t
 
 
@@ -547,19 +518,17 @@ class Trajectory:
         return self.states[-1]
 
 
-def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
-              dense_ts=None, fixed_step=None) -> Trajectory:
+def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12, dense_ts=None) -> Trajectory:
     """Embedded Dormand-Prince 5(4) integration of dstate/dt = field(t, state).
 
     Local error per step is held below atol + rtol * |state| componentwise.
-    ``dense_ts`` requests samples at given times (monotone, inside
-    [t0, t1]).  A step that would pass the next sample time is shortened
-    to end on it, and an accepted shortened step leaves the step-size
-    proposal as it was, so the samples cost no rejected steps.  Every
-    sample is then the state at a step endpoint, with the full step
-    accuracy; a sample time within rounding of the current time takes
-    the current state.  Without ``dense_ts`` the accepted step points are
-    returned.  ``fixed_step`` disables adaptivity (used by order studies).
+    The trajectory holds one state per requested time: ``dense_ts``
+    (monotone, inside [t0, t1]), by default t1 alone.  A step that would
+    pass the next sample time is shortened to end on it, and an accepted
+    shortened step leaves the step-size proposal as it was, so the samples
+    cost no rejected steps.  Every sample is then the state at a step
+    endpoint, with the full step accuracy; a sample time within rounding
+    of the current time takes the current state.
     """
     if rtol <= 0 or atol <= 0:
         raise ValueError("rtol and atol must be positive")
@@ -567,41 +536,32 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
     t, t1 = float(t0), float(t1)      # times stay Python floats: numpy scalars slow the kernels
     direction = 1.0 if t1 >= t else -1.0
     span = abs(t1 - t)
+    end_tol = 1e-14 * max(1.0, abs(t1))
+    dense = np.array([t1] if dense_ts is None else dense_ts, dtype=float)
+    ahead = (dense - t) * direction
+    if np.any(np.diff(ahead) < 0) or np.any(abs(ahead - span / 2) > span / 2 + end_tol):
+        raise ValueError("dense_ts must be monotone and inside [t0, t1]")
+    out_states = np.empty((len(dense), len(y)), dtype=complex)
     if span == 0:
-        return Trajectory(np.array([t0]), y[None, :], 0, 0)
+        out_states[:] = y
+        return Trajectory(dense, out_states, 0, 0)
 
     f = np.asarray(field(t, y), dtype=complex)
-    if fixed_step is not None:
-        h = abs(float(fixed_step))
-    else:
-        scale = atol + rtol * np.abs(y)
-        d0 = np.sqrt(np.mean(np.abs(y / scale) ** 2))
-        d1 = np.sqrt(np.mean(np.abs(f / scale) ** 2))
-        h = min(span / 10.0, 0.01 * d0 / d1 if d1 > 0 else span / 10.0)
-        h = float(max(h, span * 1e-10))
+    scale = atol + rtol * np.abs(y)
+    d0 = np.sqrt(np.mean(np.abs(y / scale) ** 2))
+    d1 = np.sqrt(np.mean(np.abs(f / scale) ** 2))
+    h = min(span / 10.0, 0.01 * d0 / d1 if d1 > 0 else span / 10.0)
+    h = float(max(h, span * 1e-10))
 
-    end_tol = 1e-14 * max(1.0, abs(t1))
-    if dense_ts is not None:
-        dense = np.asarray(dense_ts, dtype=float)
-        ahead = (dense - t) * direction
-        if np.any(np.diff(ahead) < 0) or np.any(abs(ahead - span / 2) > span / 2 + end_tol):
-            raise ValueError("dense_ts must be monotone and inside [t0, t1]")
-        out_states = np.empty((len(dense), len(y)), dtype=complex)
-        dense_idx = 0
-    else:
-        step_ts = [t]
-        step_states = [y]
-
-    steps = rejected = 0
+    dense_idx = steps = rejected = 0
     m = len(y)
     K = np.empty((7, m), dtype=complex)
     K[0] = f
     ay = np.abs(y)
     while True:
-        if dense_ts is not None:
-            while dense_idx < len(dense) and (dense[dense_idx] - t) * direction <= end_tol:
-                out_states[dense_idx] = y
-                dense_idx += 1
+        while dense_idx < len(dense) and (dense[dense_idx] - t) * direction <= end_tol:
+            out_states[dense_idx] = y
+            dense_idx += 1
         if (t1 - t) * direction <= end_tol:
             break
         if steps + rejected > _MAX_STEPS:
@@ -609,7 +569,7 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
         if ay.max() > _MAX_STATE:
             raise IntegrationError(f"state blow-up near t = {t:.6g} (movable pole?)")
         h_step = min(h, abs(t1 - t))
-        if dense_ts is not None and dense_idx < len(dense):
+        if dense_idx < len(dense):
             h_step = min(h_step, abs(float(dense[dense_idx]) - t))
         if h_step < 1e-13 * max(1.0, abs(t)):
             raise IntegrationError(
@@ -623,57 +583,46 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12,
         ay5 = np.abs(y5)
         r = err_vec / (atol + rtol * np.maximum(ay, ay5))
         err = math.sqrt(np.vdot(r, r).real / m)
-        accepted = fixed_step is not None or err <= 1.0
+        accepted = err <= 1.0
         if accepted:
             t += ht
             y, ay = y5, ay5
             K[0] = K[6]      # first same as last: the stage equals field(t, y5)
-            if dense_ts is None:
-                step_ts.append(t)
-                step_states.append(y)
             steps += 1
         else:
             rejected += 1
         # an accepted step shortened below h says nothing about h itself
-        if fixed_step is None and not (accepted and h_step < h):
+        if not (accepted and h_step < h):
             factor = _SAFETY * err ** -0.2 if err > 0 else _MAX_FACTOR
             h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
-    if dense_ts is not None:
-        # sample times past t1 by rounding take the final state
-        out_states[dense_idx:] = y
-        return Trajectory(dense.copy(), out_states, steps, rejected)
-    return Trajectory(np.array(step_ts), np.array(step_states), steps, rejected)
+    # sample times past t1 by rounding take the final state
+    out_states[dense_idx:] = y
+    return Trajectory(dense, out_states, steps, rejected)
 
 
 # rhs closures on the flat state -------------------------------------------
 
 
-def symmetric_rhs(p: ParameterSet):
-    c = _window_weights(p)
+def _kernel_rhs(kernel, constants):
+    """The flat rhs f(t, v) of a kernel, with its parameter constants bound."""
 
     def rhs(t, v):
-        return np.array(_symmetric_kernel(c, v.tolist(), t))
+        return np.array(kernel(constants, v.tolist(), t))
 
     return rhs
+
+
+def symmetric_rhs(p: ParameterSet):
+    return _kernel_rhs(_symmetric_kernel, _window_weights(p))
 
 
 def degenerate_rhs(p: ParameterSet):
-    c = _degenerate_constants(p)
-
-    def rhs(t, v):
-        return np.array(_degenerate_kernel(c, v.tolist(), t, _degenerate_scale(t)))
-
-    return rhs
+    return _kernel_rhs(_degenerate_kernel, _degenerate_constants(p))
 
 
 def cp6_rhs(p: ParameterSet):
-    c = _cp6_constants(p)
-
-    def rhs(t, v):
-        return np.array(_cp6_kernel(c, v.tolist(), t, _cp6_scale(t)))
-
-    return rhs
+    return _kernel_rhs(_cp6_kernel, _cp6_constants(p))
 
 
 def appendix_rhs(which: str, p: ParameterSet):

@@ -149,6 +149,13 @@ def series_coefficients(spec: HGSpec, depth: int) -> np.ndarray:
     return coeffs
 
 
+def _powers(t: complex, count: int) -> np.ndarray:
+    """The powers 1, t, ..., t^(count-1) of t, as one complex vector."""
+    tpow = np.full(count, complex(t))
+    tpow[0] = 1.0
+    return tpow.cumprod()
+
+
 def _operator_polys(spec: HGSpec):
     """P, Q with P(i) c_i = Q(i-1) c_{i-1} the Frobenius recursion.
 
@@ -193,9 +200,7 @@ def operator_residual(spec: HGSpec, coeffs, t: complex, exponent: complex = 0.0)
     lead = P(s) * c
     lag = np.zeros_like(c)
     lag[1:] = Q(s[1:] - 1) * c[:-1]
-    tpow = np.full(c.size, complex(t))
-    tpow[0] = 1.0
-    tpow = tpow.cumprod()
+    tpow = _powers(t, c.size)
     lead *= tpow
     lag *= tpow
     scale = max(np.max(np.abs(lead)), np.max(np.abs(lag)))

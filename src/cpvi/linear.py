@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperfn import HGSpec, series_coefficients, operator_residual
+from .hyperfn import HGSpec, _powers, series_coefficients, operator_residual
 from .params import ParameterSet
 
 
@@ -323,7 +323,8 @@ class SeriesSolution:
     of the gauge frame is the series of the branch function of level n-c.
     In the original frame the solution is t^exponent times an analytic
     vector whose components m <= k are gauge components m+n-k and whose
-    components m > k are t times gauge components m-k-1.
+    components m > k are t times gauge components m-k-1: the gauge frame
+    split after its first n-k components, with the two parts swapped.
     """
 
     k: int
@@ -338,37 +339,23 @@ class SeriesSolution:
     def depth(self) -> int:
         return self.coeffs.shape[0] - 1
 
-    def gauged_value(self, t: complex) -> np.ndarray:
-        t = complex(t)
-        val = np.zeros(self.n + 1, dtype=complex)
-        for vec in self.coeffs[::-1]:
-            val = val * t + vec
-        return val
-
     def original_coeffs(self) -> np.ndarray:
-        """Coefficient vectors u_i of the analytic factor in the original frame."""
-        n, k = self.n, self.k
-        depth = self.depth
-        u = np.zeros((depth + 1, n + 1), dtype=complex)
-        for m in range(n + 1):
-            if m <= k:
-                u[:, m] = self.coeffs[:, m + n - k]
-            else:
-                u[1:, m] = self.coeffs[:-1, m - k - 1]
-        return u
+        """Coefficient vectors u_i of the analytic factor in the original frame.
 
-    def analytic_value(self, t: complex) -> np.ndarray:
-        """The original-frame solution with the power prefactor stripped."""
-        t = complex(t)
-        g = self.gauged_value(t)
-        out = np.empty(self.n + 1, dtype=complex)
-        for m in range(self.n + 1):
-            out[m] = g[m + self.n - self.k] if m <= self.k else t * g[m - self.k - 1]
-        return out
+        The components m > k lose the top gauge row c_depth, whose term has
+        degree depth + 1; :meth:`value` keeps it.
+        """
+        split = self.n - self.k
+        u = np.zeros_like(self.coeffs)
+        u[:, :self.k + 1] = self.coeffs[:, split:]
+        u[1:, self.k + 1:] = self.coeffs[:-1, :split]
+        return u
 
     def value(self, t: complex) -> np.ndarray:
         t = complex(t)
-        return t ** self.exponent * self.analytic_value(t)
+        g = _powers(t, self.depth + 1) @ self.coeffs
+        split = self.n - self.k
+        return t ** self.exponent * np.concatenate((g[split:], t * g[:split]))
 
 
 def _to_coeff_array(vecs) -> np.ndarray:
@@ -499,9 +486,7 @@ def system_residual(sys: LinearSystem, sol: SeriesSolution, t: complex) -> float
     """
     t = complex(t)
     c = sol.original_coeffs()
-    tpow = np.full(c.shape[0], t)
-    tpow[0] = 1.0
-    tpow = tpow.cumprod()
+    tpow = _powers(t, c.shape[0])
     u = tpow @ c
     du = (np.arange(1, c.shape[0]) * tpow[:-1]) @ c[1:]
     defect = du + (sol.exponent / t) * u - sys.coefficient(t) @ u

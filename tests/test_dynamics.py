@@ -9,14 +9,11 @@ from cpvi.dynamics import (
     IntegrationError,
     appendix_a_field,
     appendix_a_map,
-    appendix_gradients,
     appendix_rhs,
     canonical_to_symmetric,
     coupled_p6_field,
-    cp6_gradients,
     cp6_rhs,
     degenerate_field,
-    degenerate_gradients,
     degenerate_rhs,
     hamiltonian_appendix,
     hamiltonian_cp6,
@@ -31,7 +28,6 @@ from cpvi.dynamics import (
     riccati_rhs,
     state_partials,
     symmetric_field,
-    symmetric_gradients,
     symmetric_rhs,
     symmetric_to_canonical,
 )
@@ -83,7 +79,17 @@ def rel_err(got, want):
     return float(np.linalg.norm(np.asarray(got) - want) / max(1.0, np.linalg.norm(want)))
 
 
+def field_gradients(field, a, b, s):
+    """(dH/da, dH/db) read off a Hamiltonian field (da/dt, db/dt) = (dH/db, -dH/da) / s."""
+    da, db = field(a, b)
+    return -db * s, da * s
+
+
 class TestGradientOracles:
+    """Each field's gradient against its Hamiltonian, with time factor s = t(t-1)
+    for the coupled system, 1 for the symmetric one and t for the confluent
+    and canonical ones (whose Hamiltonians are given as t H)."""
+
     @pytest.mark.parametrize("n", RANKS)
     def test_coupled(self, n):
         p = kernel_set(n, seed=n)
@@ -92,7 +98,7 @@ class TestGradientOracles:
             q = rng.uniform(-1.5, 1.5, n).astype(complex)
             pm = rng.uniform(-1.5, 1.5, n).astype(complex)
             t = rng.uniform(0.15, 0.85)
-            dq, dp = cp6_gradients(p, q, pm, t)
+            dq, dp = field_gradients(lambda a, b: coupled_p6_field(p, a, b, t), q, pm, t * (t - 1))
             assert rel_err(dq, stencil_grad(lambda v: hamiltonian_cp6(p, v, pm, t), q)) < 1e-12
             assert rel_err(dp, stencil_grad(lambda v: hamiltonian_cp6(p, q, v, t), pm)) < 1e-12
 
@@ -104,7 +110,7 @@ class TestGradientOracles:
             x = rng.uniform(0.4, 1.5, n + 1).astype(complex)
             y = rng.uniform(-1.2, 1.2, n + 1).astype(complex)
             t = rng.uniform(0.15, 0.85)
-            dx, dy = symmetric_gradients(p, x, y, t)
+            dx, dy = field_gradients(lambda a, b: symmetric_field(p, a, b, t), x, y, 1.0)
             assert rel_err(dx, stencil_grad(lambda v: hamiltonian_symmetric(p, v, y, t), x)) < 1e-12
             assert rel_err(dy, stencil_grad(lambda v: hamiltonian_symmetric(p, x, v, t), y)) < 1e-12
 
@@ -116,7 +122,7 @@ class TestGradientOracles:
             x = rng.uniform(0.4, 1.5, n + 1).astype(complex)
             y = rng.uniform(-1.2, 1.2, n + 1).astype(complex)
             t = rng.uniform(0.3, 1.8)
-            dtx, dty = degenerate_gradients(p, x, y, t)
+            dtx, dty = field_gradients(lambda a, b: degenerate_field(p, a, b, t), x, y, t)
             assert rel_err(dtx, stencil_grad(lambda v: t * hamiltonian_degenerate(p, v, y, t), x)) < 1e-12
             assert rel_err(dty, stencil_grad(lambda v: t * hamiltonian_degenerate(p, x, v, t), y)) < 1e-12
 
@@ -129,7 +135,7 @@ class TestGradientOracles:
             q = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
             pm = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
             t = rng.uniform(0.3, 1.8)
-            dq, dp = appendix_gradients(which, p, q, pm, t)
+            dq, dp = field_gradients(lambda a, b: appendix_a_field(which, p, a, b, t), q, pm, t)
             assert rel_err(dq, stencil_grad(lambda v: hamiltonian_appendix(which, p, v, pm, t), q)) < 1e-12
             assert rel_err(dp, stencil_grad(lambda v: hamiltonian_appendix(which, p, q, v, t), pm)) < 1e-12
 
@@ -264,18 +270,14 @@ class TestCoordinateMaps:
         rng = np.random.default_rng(39)
         x, y = constrained_state(p, rng, spread=0.6)
         traj = integrate(symmetric_rhs(p), np.concatenate((x, y)), 0.3, 0.42,
-                         rtol=1e-11, atol=1e-13)
-        ts, states = traj.ts, traj.states
-        for i in range(2, len(ts) - 2, 3):
-            t = ts[i]
-            xn = states[i][1]
-            # five-point stencil on the accepted (non-uniform) grid is
-            # overkill; re-integrate tiny symmetric steps instead
+                         rtol=1e-11, atol=1e-13, dense_ts=np.linspace(0.31, 0.41, 9))
+        for t, state in zip(traj.ts, traj.states):
+            # re-integrate tiny symmetric steps for the derivative of log x_n
             h = 1e-4
-            ahead = integrate(symmetric_rhs(p), states[i], t, t + h, rtol=1e-12, atol=1e-14)
-            behind = integrate(symmetric_rhs(p), states[i], t, t - h, rtol=1e-12, atol=1e-14)
+            ahead = integrate(symmetric_rhs(p), state, t, t + h, rtol=1e-12, atol=1e-14)
+            behind = integrate(symmetric_rhs(p), state, t, t - h, rtol=1e-12, atol=1e-14)
             dlog = (np.log(ahead.final[1]) - np.log(behind.final[1])) / (2 * h)
-            q, pm, eta = symmetric_to_canonical(p, states[i][:2], states[i][2:], t)
+            q, pm, eta = symmetric_to_canonical(p, state[:2], state[2:], t)
             target = log_derivative_target(p, q, pm, eta, t)
             assert abs(t * (1 - t) * dlog - target) < 1e-6
 
@@ -417,14 +419,37 @@ class TestIntegrator:
         assert np.linalg.norm(traj.final[: n + 1] - ref) / np.linalg.norm(ref) < 1e-7
         assert np.max(np.abs(traj.final[n + 1:])) < 1e-12
 
-    def test_fixed_step_order(self):
-        p = sample_generic(2, seed=5)
-        sys = build_fuchsian(p)
-        sol = fundamental_solution(p, 1, depth=60)
-        y0, ref = sol.value(0.1), sol.value(0.4)
-        errs = [np.linalg.norm(integrate(linear_rhs(sys), y0, 0.1, 0.4, fixed_step=h).final - ref)
-                for h in (0.01, 0.005)]
-        assert np.log2(errs[0] / errs[1]) >= 4.0
+    @staticmethod
+    def order_defects(b, order):
+        """Defects sum(b * Phi(tree)) - 1/gamma(tree) of Butcher's rooted-tree
+        order conditions of the given order (Hairer, Norsett & Wanner,
+        Solving ODEs I, Sec. II.2), on the stage coefficients of _DP_TABLEAU;
+        the nodes c stand for the row sums of A, as the next test checks."""
+        A = _DP_TABLEAU[:7].real
+        c = np.array(_DP_C)
+        e = np.ones(7)
+        trees = {
+            1: [(e, 1)],
+            2: [(c, 2)],
+            3: [(c ** 2, 3), (A @ c, 6)],
+            4: [(c ** 3, 4), (c * (A @ c), 8), (A @ c ** 2, 12), (A @ A @ c, 24)],
+            5: [(c ** 4, 5), (c ** 2 * (A @ c), 10), (c * (A @ c ** 2), 15),
+                (c * (A @ A @ c), 30), ((A @ c) ** 2, 20), (A @ c ** 3, 20),
+                (A @ (c * (A @ c)), 40), (A @ A @ c ** 2, 60), (A @ A @ A @ c, 120)],
+        }
+        return [float(b @ phi) - 1 / gamma for phi, gamma in trees[order]]
+
+    def test_tableau_order_conditions(self):
+        # the pair is a fifth-order method (17 trees) with a fourth-order embedding (8 trees)
+        b5 = _DP_TABLEAU[7].real
+        b4 = b5 - _DP_TABLEAU[8].real
+        defects5 = [d for order in range(1, 6) for d in self.order_defects(b5, order)]
+        defects4 = [d for order in range(1, 5) for d in self.order_defects(b4, order)]
+        assert len(defects5) == 17 and len(defects4) == 8
+        assert max(map(abs, defects5)) <= 1e-15
+        assert max(map(abs, defects4)) <= 1e-15
+        # the embedded solution is no better than fourth order, so b5 - b4 estimates an error
+        assert max(map(abs, self.order_defects(b4, 5))) > 1e-4
 
     def test_tableau_rows_sum_to_their_nodes(self):
         # consistency of the Dormand-Prince pair: stage rows sum to c_s, b5 to 1, b5 - b4 to 0
@@ -469,6 +494,23 @@ class TestIntegrator:
         with pytest.raises(ValueError, match="dense_ts"):
             integrate(lambda t, y: y, np.array([1.0 + 0j]), 0.3, 0.5, dense_ts=ts)
 
+    def test_samples_outside_a_zero_span_rejected(self):
+        with pytest.raises(ValueError, match="dense_ts"):
+            integrate(lambda t, y: y, np.array([1.0 + 0j]), 0.3, 0.3, dense_ts=[0.9])
+
+    def test_one_sample_per_requested_time(self):
+        y0 = np.array([1.0 + 0j, 2.0])
+        grow = lambda t, y: y
+        still = integrate(grow, y0, 0.3, 0.3, dense_ts=[0.3, 0.3, 0.3])
+        assert np.array_equal(still.ts, [0.3] * 3) and np.array_equal(still.states, [y0] * 3)
+        ts = [0.3, 0.3, 0.4, 0.5, 0.5]
+        traj = integrate(grow, y0, 0.3, 0.5, dense_ts=ts)
+        assert np.array_equal(traj.ts, ts)
+        assert np.allclose(traj.states, [y0 * np.exp(t - 0.3) for t in ts], rtol=1e-9)
+        # without dense_ts the one sample is t1
+        final = integrate(grow, y0, 0.3, 0.5)
+        assert np.array_equal(final.ts, [0.5]) and np.allclose(final.states, [y0 * np.exp(0.2)], rtol=1e-9)
+
     def test_movable_pole_reported_with_location(self):
         with pytest.raises(IntegrationError, match="t = "):
             integrate(lambda t, y: y * y, np.array([1.0 + 0j]), 0.0, 2.0)
@@ -478,7 +520,7 @@ class TestIntegrator:
         rng = np.random.default_rng(18)
         x, y = constrained_state(p, rng, spread=0.5)
         traj = integrate(symmetric_rhs(p), np.concatenate((x, y)), 0.3, 0.5,
-                         rtol=1e-10, atol=1e-12)
+                         rtol=1e-10, atol=1e-12, dense_ts=np.linspace(0.3, 0.5, 41))
         drift = [abs(np.sum(s[:3] * s[3:]) + complex(p.eta)) for s in traj.states]
         assert max(drift) < 1e-8
 

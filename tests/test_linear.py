@@ -208,7 +208,8 @@ class TestGauge:
         sysk = gauge_transform(build_fuchsian(p), k)
         for t in (0.15, 0.35):
             g = gauge_matrix(p, k, t) @ sol.value(t)
-            assert np.allclose(g, sol.gauged_value(t), rtol=1e-9, atol=1e-12)
+            assert np.allclose(g, sum(c * t ** i for i, c in enumerate(sol.coeffs)),
+                               rtol=1e-9, atol=1e-12)
             h = 1e-6
             g_plus = gauge_matrix(p, k, t + h) @ sol.value(t + h)
             g_minus = gauge_matrix(p, k, t - h) @ sol.value(t - h)
@@ -404,6 +405,22 @@ class TestFundamentalSolutions:
             assert recurrence_residual(sys, sol) < 1e-12
             for t in np.linspace(0.05, 0.5, 6):
                 assert system_residual(sys, sol, t) < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_value_keeps_every_gauge_row(self, n):
+        # reference: Horner over all depth+1 gauge rows, then the frame map
+        # component by component; the components m > k carry the top row
+        # c_depth at degree depth+1, which original_coeffs() does not hold
+        p = sample_generic(n, seed=140 + n, margin=0.02)
+        for k in range(n + 1):
+            sol = fundamental_solution(p, k)
+            for t in (0.6, -0.45 + 0.4j, 0.6j):
+                g = np.zeros(n + 1, dtype=complex)
+                for row in sol.coeffs[::-1]:
+                    g = g * t + row
+                u = [g[m + n - k] if m <= k else t * g[m - k - 1] for m in range(n + 1)]
+                want = t ** sol.exponent * np.array(u)
+                assert np.linalg.norm(sol.value(t) - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_solution_matrix_invertible(self):
         for n in (1, 2, 3):

@@ -143,9 +143,8 @@ class TestSolutionMapping:
         x, y = sample_regular_state(n, rng, 0.35)
         y[0] = -(complex(p.eta) + np.sum(x[1:] * y[1:])) / x[0]
         traj = integrate(symmetric_rhs(p), np.concatenate((x, y)), 0.35, 0.45,
-                         rtol=1e-11, atol=1e-13)
-        samples = traj.states[:: max(1, len(traj.states) // 5)]
-        ts = traj.ts[:: max(1, len(traj.states) // 5)]
+                         rtol=1e-11, atol=1e-13, dense_ts=np.linspace(0.35, 0.45, 6))
+        samples, ts = traj.states, traj.ts
         h = 1e-6
         for i in range(2 * n + 2):
             for state, t in zip(samples, ts):
