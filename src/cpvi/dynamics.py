@@ -451,7 +451,8 @@ def pushforward_field(map_fn, field, x, y, t, flip=False):
 def riccati_from_gauss(p: ParameterSet, t):
     """(q, dq/dt) built from the logarithmic derivative of the rank-1
     hypergeometric solution; q then solves the momentum-free reduction."""
-    from .hyperfn import HGSpec, eval_series_jet
+    from .hyperfn import eval_series_jet
+    from .linear import branch_spec
 
     if p.n != 1:
         raise ValueError("the classical chain is a rank-1 construction")
@@ -459,7 +460,7 @@ def riccati_from_gauss(p: ParameterSet, t):
     a3 = complex(p.alpha[3])
     if a1 == 0:
         raise ZeroDivisionError("the logarithmic-derivative map needs alpha_1 != 0")
-    spec = HGSpec((complex(p.partial_sum(1, 2)), a3), (complex(p.partial_sum(2, 1)),))
+    _, spec = branch_spec(p, 1, 0)      # prefactor 1 at level 0
     (f, fp, fpp), _ = eval_series_jet(spec, t, order=2)
     if f == 0:
         raise ZeroDivisionError(f"hypergeometric factor vanishes at t = {t}")
@@ -523,7 +524,8 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12, dense_ts=None) -> T
 
     Local error per step is held below atol + rtol * |state| componentwise.
     The trajectory holds one state per requested time: ``dense_ts``
-    (monotone, inside [t0, t1]), by default t1 alone.  A step that would
+    (monotone, inside [t0, t1]), by default t1 alone; stepping ends at the
+    last of them, so nothing past it is computed.  A step that would
     pass the next sample time is shortened to end on it, and an accepted
     shortened step leaves the step-size proposal as it was, so the samples
     cost no rejected steps.  Every sample is then the state at a step
@@ -541,6 +543,8 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12, dense_ts=None) -> T
     ahead = (dense - t) * direction
     if np.any(np.diff(ahead) < 0) or np.any(abs(ahead - span / 2) > span / 2 + end_tol):
         raise ValueError("dense_ts must be monotone and inside [t0, t1]")
+    t1 = float(dense[-1])
+    span = abs(t1 - t)
     out_states = np.empty((len(dense), len(y)), dtype=complex)
     if span == 0:
         out_states[:] = y
@@ -568,9 +572,8 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12, dense_ts=None) -> T
             raise IntegrationError(f"step budget exhausted near t = {t:.6g}")
         if ay.max() > _MAX_STATE:
             raise IntegrationError(f"state blow-up near t = {t:.6g} (movable pole?)")
-        h_step = min(h, abs(t1 - t))
-        if dense_idx < len(dense):
-            h_step = min(h_step, abs(float(dense[dense_idx]) - t))
+        # the last sample is t1, so a sample is always ahead
+        h_step = min(h, abs(float(dense[dense_idx]) - t))
         if h_step < 1e-13 * max(1.0, abs(t)):
             raise IntegrationError(
                 f"step size underflow near t = {t:.6g} (movable pole or singular point)")
@@ -596,8 +599,6 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12, dense_ts=None) -> T
             factor = _SAFETY * err ** -0.2 if err > 0 else _MAX_FACTOR
             h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
-    # sample times past t1 by rounding take the final state
-    out_states[dense_idx:] = y
     return Trajectory(dense, out_states, steps, rejected)
 
 

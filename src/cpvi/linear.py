@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperfn import HGSpec, _powers, series_coefficients, operator_residual
+from .hyperfn import HGSpec, _powers, eval_series, series_coefficients, operator_residual
 from .params import ParameterSet
 
 
@@ -52,19 +52,18 @@ def _zeros(n, like):
     return [[z for _ in range(n + 1)] for _ in range(n + 1)]
 
 
-def _fuchsian_matrices(p: ParameterSet, shift: int = 0):
-    """Nested-list (type-preserving) residue matrices, optionally with all
-    alpha indices advanced by ``shift`` (the cyclic gauge relabelling)."""
+def _fuchsian_matrices(p: ParameterSet):
+    """Nested-list (type-preserving) residue matrices."""
     n = p.n
     A0 = _zeros(n, p.alpha[0])
     A1 = _zeros(n, p.alpha[0])
     for i in range(n):
-        A0[i][i] = -p.partial_sum(2 * i + 2 + shift, 2 * n - 2 * i - 1)
+        A0[i][i] = -p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1)
         for j in range(i + 1, n + 1):
-            A0[i][j] = p.alpha_at(2 * j + 1 + shift)
+            A0[i][j] = p.alpha_at(2 * j + 1)
     for i in range(n + 1):
         for j in range(n + 1):
-            A1[i][j] = p.alpha_at(2 * j + 1 + shift)
+            A1[i][j] = p.alpha_at(2 * j + 1)
     return A0, A1
 
 
@@ -184,7 +183,7 @@ def gauge_transform(sys: LinearSystem, k: int) -> LinearSystem:
         raise ValueError("gauge transform applies to the position-side Fuchsian system")
     if not 0 <= k <= sys.n:
         raise ValueError(f"branch index {k} out of range 0..{sys.n}")
-    A0, A1 = _fuchsian_matrices(sys.params, shift=2 * k + 2)
+    A0, A1 = _fuchsian_matrices(sys.params.shifted(2 * k + 2))
     return LinearSystem(sys.n, _as_array(A0), _as_array(A1), "fuchsian", sys.params, gauge=k)
 
 
@@ -244,7 +243,7 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     yield exact rational vectors.
     """
     n = p.n
-    A0, A1 = _fuchsian_matrices(p, shift=2 * k + 2)
+    A0, A1 = _fuchsian_matrices(p.shifted(2 * k + 2))
     # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
     step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
              for col in range(n + 1)] for row in range(n + 1)]
@@ -440,25 +439,35 @@ def branch_spec(p: ParameterSet, k: int, l: int):
     return pref, _shifted_spec(upper, lower, l)
 
 
+def _assemble(p: ParameterSet, k: int, series) -> SeriesSolution:
+    """Branch-k solution whose gauge component n-l is the level-l branch
+    function: its prefactor times ``series(spec)``, the rows of that
+    function's series (its Taylor coefficients, or its one-row sum at t)."""
+    if not 0 <= k <= p.n:
+        raise ValueError(f"branch index {k} out of range 0..{p.n}")
+    specs = [branch_spec(p, k, l) for l in range(p.n + 1)]
+    coeffs = np.stack([pref * np.asarray(series(spec)) for pref, spec in specs[::-1]], axis=1)
+    return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)), coeffs=coeffs)
+
+
 def fundamental_solution(p: ParameterSet, k: int, depth: int = 49) -> SeriesSolution:
     """Branch-k solution of the system of the set's level (Fuchsian for
     generic sets, confluent otherwise) assembled from hypergeometric
     series; valid on |t| < 1 for generic sets, entire for confluent ones."""
-    n = p.n
-    if not 0 <= k <= n:
-        raise ValueError(f"branch index {k} out of range 0..{n}")
-    coeffs = np.zeros((depth + 1, n + 1), dtype=complex)
-    for l in range(n + 1):
-        pref, spec = branch_spec(p, k, l)
-        # gauge component c carries the level n-c branch function
-        coeffs[:, n - l] = pref * series_coefficients(spec, depth)
-    return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)), coeffs=coeffs)
+    return _assemble(p, k, lambda spec: series_coefficients(spec, depth))
 
 
-def fundamental_matrix(p: ParameterSet, t: complex, depth: int = 49) -> np.ndarray:
-    """Matrix whose columns are the n+1 branch solutions evaluated at t."""
-    cols = [fundamental_solution(p, k, depth).value(t) for k in range(p.n + 1)]
-    return np.stack(cols, axis=1)
+def fundamental_matrix(p: ParameterSet, t: complex) -> np.ndarray:
+    """Matrix whose columns are the n+1 branch solutions evaluated at t.
+
+    Each branch function is summed at t by :func:`eval_series`, which stops
+    by its rule on the terms at its default rtol; the n+1 sums of a branch
+    form one row of gauge-frame coefficients, evaluated by
+    :meth:`SeriesSolution.value`.  A generic set raises ``SeriesError`` at
+    |t| >= 1, where its series diverge; confluent sets are entire.
+    """
+    return np.stack([_assemble(p, k, lambda spec: [eval_series(spec, t)[0]]).value(t)
+                     for k in range(p.n + 1)], axis=1)
 
 
 def scaled_det(matrix: np.ndarray) -> float:

@@ -511,6 +511,22 @@ class TestIntegrator:
         final = integrate(grow, y0, 0.3, 0.5)
         assert np.array_equal(final.ts, [0.5]) and np.allclose(final.states, [y0 * np.exp(0.2)], rtol=1e-9)
 
+    def test_stepping_ends_at_the_last_sample(self):
+        calls = []
+
+        def grow(t, y):
+            calls.append(t)
+            return y
+
+        traj = integrate(grow, np.array([1.0 + 0j]), 0.3, 0.5, dense_ts=[0.3, 0.32])
+        assert (traj.steps, len(calls)) == (3, 19)
+        assert np.allclose(traj.states[:, 0], np.exp([0.0, 0.02]), rtol=1e-9)
+        assert max(calls) <= 0.32
+
+    def test_pole_after_the_last_sample_not_reached(self):
+        traj = integrate(lambda t, y: y * y, np.array([1.0 + 0j]), 0.0, 2.0, dense_ts=[0.0, 0.5])
+        assert traj.final[0] == pytest.approx(2.0, rel=1e-9)
+
     def test_movable_pole_reported_with_location(self):
         with pytest.raises(IntegrationError, match="t = "):
             integrate(lambda t, y: y * y, np.array([1.0 + 0j]), 0.0, 2.0)

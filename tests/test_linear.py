@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpvi.hyperfn import HGSpec, eval_series, series_coefficients
+from cpvi.dynamics import integrate, linear_rhs
+from cpvi.hyperfn import HGSpec, SeriesError, eval_series, series_coefficients
 from cpvi.linear import (
     LinearSystem,
     ResonanceError,
@@ -425,8 +426,24 @@ class TestFundamentalSolutions:
     def test_solution_matrix_invertible(self):
         for n in (1, 2, 3):
             p = sample_generic(n, seed=110 + n)
-            M = fundamental_matrix(p, 0.1, depth=60)
+            M = fundamental_matrix(p, 0.1)
             assert scaled_det(M) > 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_matrix_matches_transport_near_rim(self, n):
+        # near the rim each branch series needs hundreds of terms
+        p = sample_generic(n, seed=7, margin=0.02)
+        Y = fundamental_matrix(p, 0.5)
+        rhs = linear_rhs(build_fuchsian(p))
+        for t in (0.9, 0.97):
+            M = fundamental_matrix(p, t)
+            for k in range(n + 1):
+                ref = integrate(rhs, Y[:, k], 0.5, t, rtol=1e-12, atol=1e-14).final
+                assert np.linalg.norm(M[:, k] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_matrix_raises_outside_disc(self):
+        with pytest.raises(SeriesError):
+            fundamental_matrix(sample_generic(2, seed=7), 1.2)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_component_operator_residuals(self, n):
@@ -481,4 +498,4 @@ class TestConfluentSolutions:
 
     def test_confluent_solution_matrix(self):
         p = sample_degenerate(2, 2, seed=230)
-        assert scaled_det(fundamental_matrix(p, 0.1, depth=60)) > 1e-6
+        assert scaled_det(fundamental_matrix(p, 0.1)) > 1e-6
