@@ -12,8 +12,10 @@ parameters) as well.  The bare product series without the factorial is
 the spec with one more upper parameter 1, since (1)_i = i!.
 
 Derivatives come from the contiguous relation
-d/dt F(a; b; t) = (prod a / prod b) F(a + 1; b + 1; t) (DLMF 16.3.1), so
-:func:`eval_series` is the only summation loop.
+d/dt F(a; b; t) = (prod a / prod b) F(a + 1; b + 1; t) (DLMF 16.3.1).
+There is one summation loop, :func:`_contiguous_sums`: :func:`eval_series`
+is its case without levels, and the branch functions of a linear system,
+which are contiguous levels of one base series, are its case with them.
 """
 
 from __future__ import annotations
@@ -87,6 +89,93 @@ def _check_domain(spec: HGSpec, t: complex):
         raise SeriesError(f"series diverges for |t| >= 1 (got |t| = {abs(t):.6g})")
 
 
+def _contiguous_sums(spec: HGSpec, t: complex, rtol: float = 1e-12, windows=()):
+    """Sums at t of the series and of its contiguous levels.
+
+    ``windows`` holds one pair (a_j, b_j) per level j = 1, 2, ...; a_j is
+    None where the upper window is absorbed.  Level l multiplies base term
+    i by W_l(i) = prod_{j<=l} f_j(i), with f_j(i) = (a_j + i) / (b_j + i),
+    or 1 / (b_j + i) for an absorbed window.  So level l sums to
+    W_l(0) F(l), where F(l) is the series with a_j and b_j raised by one
+    for j <= l and the absorbed a_j left out (the term ratio of Petkovsek,
+    Wilf & Zeilberger, *A = B*, ch. 3, taken across levels).
+
+    Each level stops by the rule of :func:`eval_series` on its own terms
+    and sums them with ``math.fsum``; the loop ends once every level has
+    stopped.  Returns ([level 0 sum, level 1 sum, ...], terms), where terms
+    counts the base terms formed, level 0's count when there are no
+    levels.
+    """
+    if rtol <= 0:
+        raise ValueError("rtol must be positive")
+    t = complex(t)
+    _check_domain(spec, t)
+    levels = len(windows)
+    # level j + 1: its real and imaginary terms, running total, small run
+    # and, once stopped, its sum
+    lre, lim, ltot, lrun = [], [], [], [0] * levels
+    lsums = [None] * levels
+    w = 1.0 + 0.0j
+    for a, b in windows:
+        w = _weighted(w, a, b, 0)
+        lre.append(array("d", [w.real]))
+        lim.append(array("d", [w.imag]))
+        ltot.append(w)
+    if t == 0:
+        return [1.0 + 0.0j] + ltot, 1
+    pending = levels + 1
+    value = None
+    re, im = array("d", [1.0]), array("d", [0.0])
+    total = term = 1.0 + 0.0j
+    small_run = 0
+    for i in range(1, MAX_TERMS + 1):
+        term *= t * spec.term_ratio(i)
+        if value is None:
+            re.append(term.real)
+            im.append(term.imag)
+            total += term
+            if abs(term) < rtol * abs(total):
+                small_run += 1
+                if small_run >= _CONVERGED_RUN:
+                    value = complex(math.fsum(re), math.fsum(im))
+                    pending -= 1
+                    if not pending:
+                        return [value] + lsums, i + 1
+            else:
+                small_run = 0
+        if not levels:
+            continue
+        w = term
+        for j, (a, b) in enumerate(windows):
+            w = _weighted(w, a, b, i)
+            if lsums[j] is not None:
+                continue
+            lre[j].append(w.real)
+            lim[j].append(w.imag)
+            ltot[j] += w
+            # <= rather than <: a level whose weight W_l(0) is 0 (an upper
+            # window of exactly 0) has only zero terms and stops on them
+            if abs(w) <= rtol * abs(ltot[j]):
+                lrun[j] += 1
+                if lrun[j] >= _CONVERGED_RUN:
+                    lsums[j] = complex(math.fsum(lre[j]), math.fsum(lim[j]))
+                    pending -= 1
+                    if not pending:
+                        return [value] + lsums, i + 1
+            else:
+                lrun[j] = 0
+    raise SeriesError(f"no convergence within {MAX_TERMS} terms at t = {t}")
+
+
+def _weighted(w: complex, a, b, i: int) -> complex:
+    """w times the level factor f_j(i) of :func:`_contiguous_sums`; at
+    i = 0 this is the prefactor step of ``linear.branch_spec`` exactly."""
+    den = b + i
+    if abs(den) < _DENOM_FLOOR:
+        raise SeriesError(f"vanishing denominator in level factor {i} (lower parameter resonance)")
+    return w / den if a is None else w * ((a + i) / den)
+
+
 def eval_series(spec: HGSpec, t: complex, rtol: float = 1e-12):
     """Sum the series at t.  Returns (value, terms_used).
 
@@ -96,27 +185,8 @@ def eval_series(spec: HGSpec, t: complex, rtol: float = 1e-12):
     imaginary parts of the terms, so it is correctly rounded whatever the
     cancellation; the plain running total serves the stopping rule only.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
-    t = complex(t)
-    _check_domain(spec, t)
-    if t == 0:
-        return 1.0 + 0.0j, 1
-    re, im = array("d", [1.0]), array("d", [0.0])
-    total = term = 1.0 + 0.0j
-    small_run = 0
-    for i in range(1, MAX_TERMS + 1):
-        term *= t * spec.term_ratio(i)
-        re.append(term.real)
-        im.append(term.imag)
-        total += term
-        if abs(term) < rtol * abs(total):
-            small_run += 1
-            if small_run >= _CONVERGED_RUN:
-                return complex(math.fsum(re), math.fsum(im)), i + 1
-        else:
-            small_run = 0
-    raise SeriesError(f"no convergence within {MAX_TERMS} terms at t = {t}")
+    (value,), terms = _contiguous_sums(spec, t, rtol)
+    return value, terms
 
 
 def eval_series_jet(spec: HGSpec, t: complex, rtol: float = 1e-12, order: int = 2):

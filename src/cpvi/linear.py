@@ -19,6 +19,8 @@ and the three independent routes to the series solutions at t = 0:
   parameter bookkeeping, one window rule for every confluence level: at
   level r the upper windows starting at the odd slots 2s+1, s < r, are
   absorbed by the time rescaling of the confluence limit and dropped.
+  The n+1 branch functions of a branch are contiguous levels of one base
+  series, so :func:`fundamental_matrix` sums all of them in one pass.
 
 Exponent conventions: branch k of the system carries t^(-w_k) with
 w_k = alpha_{2k+2} + ... + alpha_{2n} + alpha_{2n+1} (window sum), the
@@ -32,7 +34,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hyperfn import HGSpec, _powers, eval_series, series_coefficients, operator_residual
+from .hyperfn import (HGSpec, SeriesError, _contiguous_sums, _powers, operator_residual,
+                      series_coefficients)
 from .params import ParameterSet
 
 
@@ -351,10 +354,15 @@ class SeriesSolution:
         return u
 
     def value(self, t: complex) -> np.ndarray:
+        """The solution at t; raises ``SeriesError`` where it is not finite
+        (for example once the powers of t overflow)."""
         t = complex(t)
         g = _powers(t, self.depth + 1) @ self.coeffs
         split = self.n - self.k
-        return t ** self.exponent * np.concatenate((g[split:], t * g[:split]))
+        out = t ** self.exponent * np.concatenate((g[split:], t * g[:split]))
+        if not np.isfinite(out).all():
+            raise SeriesError(f"branch-{self.k} series value is not finite at t = {t}")
+        return out
 
 
 def _to_coeff_array(vecs) -> np.ndarray:
@@ -439,35 +447,43 @@ def branch_spec(p: ParameterSet, k: int, l: int):
     return pref, _shifted_spec(upper, lower, l)
 
 
-def _assemble(p: ParameterSet, k: int, series) -> SeriesSolution:
-    """Branch-k solution whose gauge component n-l is the level-l branch
-    function: its prefactor times ``series(spec)``, the rows of that
-    function's series (its Taylor coefficients, or its one-row sum at t)."""
-    if not 0 <= k <= p.n:
-        raise ValueError(f"branch index {k} out of range 0..{p.n}")
-    specs = [branch_spec(p, k, l) for l in range(p.n + 1)]
-    coeffs = np.stack([pref * np.asarray(series(spec)) for pref, spec in specs[::-1]], axis=1)
-    return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)), coeffs=coeffs)
-
-
 def fundamental_solution(p: ParameterSet, k: int, depth: int = 49) -> SeriesSolution:
     """Branch-k solution of the system of the set's level (Fuchsian for
     generic sets, confluent otherwise) assembled from hypergeometric
-    series; valid on |t| < 1 for generic sets, entire for confluent ones."""
-    return _assemble(p, k, lambda spec: series_coefficients(spec, depth))
+    series; valid on |t| < 1 for generic sets, entire for confluent ones.
+
+    Gauge component n-l holds the Taylor coefficients of the level-l
+    branch function, its prefactor times the series of its spec."""
+    if not 0 <= k <= p.n:
+        raise ValueError(f"branch index {k} out of range 0..{p.n}")
+    specs = [branch_spec(p, k, l) for l in range(p.n + 1)]
+    coeffs = np.stack([pref * series_coefficients(spec, depth) for pref, spec in specs[::-1]],
+                      axis=1)
+    return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)), coeffs=coeffs)
 
 
 def fundamental_matrix(p: ParameterSet, t: complex) -> np.ndarray:
     """Matrix whose columns are the n+1 branch solutions evaluated at t.
 
-    Each branch function is summed at t by :func:`eval_series`, which stops
-    by its rule on the terms at its default rtol; the n+1 sums of a branch
-    form one row of gauge-frame coefficients, evaluated by
+    The level-l branch function of branch k is the base series of the
+    branch (level 0) with its first l window pairs raised by one, so its
+    terms are the base terms times one rational weight per level (see
+    :func:`branch_spec`).  One pass of the summation loop over the base
+    series therefore gives all n+1 level sums of a branch, each stopped by
+    the rule of :func:`eval_series` at its default rtol on its own terms;
+    they form one row of gauge-frame coefficients, evaluated by
     :meth:`SeriesSolution.value`.  A generic set raises ``SeriesError`` at
     |t| >= 1, where its series diverge; confluent sets are entire.
     """
-    return np.stack([_assemble(p, k, lambda spec: [eval_series(spec, t)[0]]).value(t)
-                     for k in range(p.n + 1)], axis=1)
+    columns = []
+    for k in range(p.n + 1):
+        upper, lower = _branch_windows(p, k)
+        levels, _ = _contiguous_sums(_shifted_spec(upper, lower, 0), t,
+                                     windows=tuple(zip(upper[1:], lower)))
+        sol = SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)),
+                             coeffs=np.array([levels[::-1]], dtype=complex))
+        columns.append(sol.value(t))
+    return np.stack(columns, axis=1)
 
 
 def scaled_det(matrix: np.ndarray) -> float:

@@ -9,6 +9,7 @@ from cpvi.hyperfn import HGSpec, SeriesError, eval_series, series_coefficients
 from cpvi.linear import (
     LinearSystem,
     ResonanceError,
+    SeriesSolution,
     branch_exponent,
     branch_spec,
     build_confluent,
@@ -309,6 +310,21 @@ class TestResonance:
         if d:
             assert closed_form_vectors(p, k, d - 1) == recurrence_vectors(p, k, d - 1)
 
+    # Branch 0 of these n = 1 sets has the lower window b_1 = alpha_0 +
+    # alpha_1 = 0 and -1, a nonpositive integer of the base series; the
+    # level-1 weight (a_1 + i) / (b_1 + i) would divide by zero at i = 1
+    # for b_1 = -1.  The control set has b_1 = 0.5.
+    @pytest.mark.parametrize("alpha,resonant", [((0.3, -0.3, 0.6, 0.4), True),
+                                                ((0.3, -1.3, 1.6, 0.4), True),
+                                                ((0.2, 0.3, -2.5, 3.0), False)])
+    def test_fundamental_matrix_resonant_lower_window(self, alpha, resonant):
+        p = ParameterSet(1, alpha)
+        if resonant:
+            with pytest.raises(SeriesError, match="nonpositive integer"):
+                fundamental_matrix(p, 0.3)
+        else:
+            assert np.isfinite(fundamental_matrix(p, 0.3)).all()
+
 
 def _perturb_largest(sol, rel=1e-6):
     """Copy of sol with its largest coefficient in rows 1..19 scaled by 1 + rel."""
@@ -440,6 +456,48 @@ class TestFundamentalSolutions:
             for k in range(n + 1):
                 ref = integrate(rhs, Y[:, k], 0.5, t, rtol=1e-12, atol=1e-14).final
                 assert np.linalg.norm(M[:, k] - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @staticmethod
+    def _per_spec_matrix(p, t):
+        # each level-l branch function summed on its own: its prefactor
+        # times eval_series of its spec, placed in gauge column n - l
+        cols = []
+        for k in range(p.n + 1):
+            row = [pref * eval_series(spec, t)[0]
+                   for pref, spec in (branch_spec(p, k, l) for l in range(p.n, -1, -1))]
+            sol = SeriesSolution(k, complex(branch_exponent(p, k)), np.array([row], dtype=complex))
+            cols.append(sol.value(t))
+        return np.stack(cols, axis=1)
+
+    @classmethod
+    def _assert_matches_per_spec(cls, p, t):
+        M, ref = fundamental_matrix(p, t), cls._per_spec_matrix(p, t)
+        for k in range(p.n + 1):
+            assert np.linalg.norm(M[:, k] - ref[:, k]) <= 1e-13 * np.linalg.norm(ref[:, k])
+        return M
+
+    @pytest.mark.parametrize("n,r", [(n, 0) for n in range(1, 9)]
+                             + [(n, r) for n in (1, 2, 3) for r in range(1, n + 2)])
+    def test_matrix_levels_match_per_spec_sums(self, n, r):
+        if r:
+            p = sample_degenerate(n, r, seed=240 + 10 * n + r)
+        else:
+            p = sample_generic(n, seed=60 + n, margin=0.02 if n > 5 else 0.05)
+        for t in (0.3, -0.7, 0.9, 0.25 - 0.5j, 0.9j, -0.6 - 0.6j):
+            self._assert_matches_per_spec(p, t)
+
+    def test_matrix_level_with_zero_weight(self):
+        # alpha_3 = 0 is the upper window a_1 of branch 1: its level-1
+        # function has prefactor 0 and only zero terms, and must still stop
+        M = self._assert_matches_per_spec(pset([0.3, 0.2, 0.5, 0.0]), 0.4)
+        assert M[0, 1] == 0
+
+    def test_value_raises_where_not_finite(self):
+        # t^600 overflows at t = 5; the product with the tiny coefficients
+        # is then nan instead of the solution
+        sol = fundamental_solution(sample_degenerate(2, 1, 3), 1, depth=600)
+        with pytest.raises(SeriesError, match="not finite"):
+            sol.value(5.0)
 
     def test_matrix_raises_outside_disc(self):
         with pytest.raises(SeriesError):
