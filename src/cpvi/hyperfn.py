@@ -69,12 +69,14 @@ class HGSpec:
 
     def term_ratio(self, i: int) -> complex:
         """c_i / c_{i-1} with the t factor left out, for i >= 1."""
+        # a + (i - 1), not (a + i) - 1, which loses a parameter near 0
+        j = i - 1
         num = 1.0 + 0.0j
         for a in self.upper:
-            num *= a + i - 1
+            num *= a + j
         den = 1.0 + 0.0j
         for b in self.lower:
-            den *= b + i - 1
+            den *= b + j
         den *= i
         if abs(den) < _DENOM_FLOOR:
             raise SeriesError(f"vanishing denominator in term {i} (lower parameter resonance)")

@@ -12,7 +12,7 @@ matrices, the dual (momentum-side) system, the cyclic gauge transforms,
 and the three independent routes to the series solutions at t = 0:
 
 * the matrix two-term recurrence, solved exactly by back substitution on
-  the triangular structure (works over Fractions as well);
+  the triangular structure;
 * the closed-form coefficient vectors, products of rising factorials of
   cyclic window sums;
 * assembly from hypergeometric series with the branch-dependent
@@ -22,6 +22,12 @@ and the three independent routes to the series solutions at t = 0:
   The n+1 branch functions of a branch are contiguous levels of one base
   series, so :func:`fundamental_matrix` sums all of them in one pass.
 
+The first two take parameter sets of complex entries or of Fraction
+entries.  A Fraction set is computed in Python integers: every window sum
+is an integer numerator over the lcm d of the denominators
+(:func:`params.integer_windows`), and one Fraction is formed per output
+entry.
+
 Exponent conventions: branch k of the system carries t^(-w_k) with
 w_k = alpha_{2k+2} + ... + alpha_{2n} + alpha_{2n+1} (window sum), the
 k-th diagonal entry of -A0 and zero for k = n.
@@ -29,14 +35,17 @@ k-th diagonal entry of -A0 and zero for k = n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
 from .hyperfn import (HGSpec, SeriesError, _contiguous_sums, _powers, operator_residual,
                       series_coefficients)
-from .params import ParameterSet
+from .params import ParameterSet, integer_windows
 
 
 class ResonanceError(ArithmeticError):
@@ -208,9 +217,9 @@ def gauge_matrix(p: ParameterSet, k: int, t: complex) -> np.ndarray:
 
 
 def _require_nonzero(v, what, row=None):
-    """Raise ResonanceError if v vanishes: exactly for a Fraction, below
-    ``_PIVOT_FLOOR`` in modulus otherwise."""
-    if (v == 0) if isinstance(v, Fraction) else (abs(complex(v)) < _PIVOT_FLOOR):
+    """Raise ResonanceError if v is below ``_PIVOT_FLOOR`` in modulus,
+    which for an integer means exactly zero."""
+    if abs(v) < _PIVOT_FLOOR:
         where = "" if row is None else f" at row {row}"
         raise ResonanceError(f"vanishing {what}{where}")
 
@@ -238,14 +247,80 @@ def _upper_solve(rows, rhs, pivot_shift, last=None):
     return v
 
 
+def _fraction_free_solve(rows, rhs, pivot_shift, last=None):
+    """:func:`_upper_solve` for integer rows and right-hand side, without
+    division: returns (v, den) with solution v / den.
+
+    Each solved row multiplies the entries already solved by its pivot,
+    so they stay integers over one common denominator, the product of the
+    pivots (fraction-free elimination as in E. H. Bareiss, Math. Comp. 22
+    (1968) 565-578).
+    """
+    m = len(rows)
+    v = [0] * m
+    den = 1
+    what = "recurrence pivot"
+    if last is not None:
+        v[m - 1] = last
+        what = "diagonal entry (kernel not one-dimensional)"
+    for i in range(m - 1 if last is None else m - 2, -1, -1):
+        acc = rhs[i] * den
+        for j in range(i + 1, m):
+            acc -= rows[i][j] * v[j]
+        pivot = rows[i][i] + pivot_shift
+        _require_nonzero(pivot, what, i)
+        for j in range(i + 1, m):
+            v[j] *= pivot
+        v[i] = acc
+        den *= pivot
+    return v, den
+
+
+def _integer_recurrence_vectors(n: int, k: int, depth: int, d: int, window):
+    """:func:`recurrence_vectors` of a Fraction set in integers.
+
+    The matrices of :func:`_fuchsian_matrices` for ``p.shifted(2k+2)``,
+    times d, are integer matrices built from the integer windows; x_i is
+    kept as an integer vector over one denominator, reduced by one gcd per
+    step, and each entry becomes a Fraction at the end.
+    """
+    s = 2 * k + 2
+    odd = [window(2 * j + 1 + s, 0) for j in range(n + 1)]  # every row of d A1
+    A0 = [[0] * (n + 1) for _ in range(n + 1)]
+    for i in range(n):
+        A0[i][i] = -window(2 * i + 2 + s, 2 * n - 2 * i - 1)
+        A0[i][i + 1:] = odd[i + 1:]
+    # d A0 - d A1 is -d A1 below the diagonal and 0 above it
+    step = [[A0[row][row] - odd[row] if col == row else -odd[col] if col < row else 0
+             for col in range(n + 1)] for row in range(n + 1)]
+    x, den = _fraction_free_solve(A0, [0] * (n + 1), 0, last=1)
+    vecs = [(x, den)]
+    for i in range(depth):
+        shift = -d * i
+        rhs = [sum(a * v for a, v in zip(coeffs, x)) + shift * x[row]
+               for row, coeffs in enumerate(step)]
+        x, solved = _fraction_free_solve(A0, rhs, -d * (i + 1))
+        den *= solved
+        g = math.gcd(den, *x)
+        x = [v // g for v in x]
+        den //= g
+        vecs.append((x, den))
+    return [[Fraction(v, q) for v in x] for x, q in vecs]
+
+
 def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     """Gauge-frame coefficient vectors from the matrix recurrence.
 
     Solves A0 x_0 = 0 and (A0 - (i+1) I) x_{i+1} = (A0 - A1 - i I) x_i by
-    exact back substitution; type-preserving, so Fraction parameter sets
-    yield exact rational vectors.
+    exact back substitution.  A Fraction set yields exact rational vectors,
+    computed in integers: fraction-free back substitution on d A0 - d(i+1) I
+    with right-hand side (d A0 - d A1 - d i I) x_i, d the lcm of the
+    denominators.
     """
     n = p.n
+    exact = integer_windows(p)
+    if exact is not None:
+        return _integer_recurrence_vectors(n, k, depth, *exact)
     A0, A1 = _fuchsian_matrices(p.shifted(2 * k + 2))
     # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
     step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
@@ -261,6 +336,34 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
                 acc = acc + a * x
             rhs.append(acc)
         vecs.append(_upper_solve(A0, rhs, -(i + 1)))
+    return vecs
+
+
+def _integer_closed_form_vectors(n: int, k: int, depth: int, d: int, window):
+    """:func:`closed_form_vectors` of a Fraction set in integers: u, v, s
+    and r hold d times the window sums, and each running ratio is kept as
+    an integer numerator and denominator."""
+    u = [window(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
+    v = [window(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
+    s = [window(2 * k + 2 * j + 3, 2 * n - 2 * j) for j in range(n + 1)]
+    r = [window(2 * k + 2 * j + 2, 2 * n - 2 * j + 1) for j in range(n + 1)]
+    head_num, head_den = [1] * n, [1] * n
+    tail_num, tail_den = [1] * (n + 1), [1] * (n + 1)
+    vecs = []
+    for i in range(depth + 1):
+        for j in range(n):
+            den = v[j] + d * i
+            _require_nonzero(den, "head window rising factorial")
+            head_num[j] *= u[j] + d * i
+            head_den[j] *= den
+        if i:
+            for j in range(n + 1):
+                tail_num[j] *= s[j] + d * (i - 1)
+                tail_den[j] *= r[j] + d * (i - 1)
+        nums = list(accumulate(head_num, mul, initial=1))
+        dens = list(accumulate(head_den, mul, initial=1))
+        vecs.append([Fraction(nums[n - m] * a, dens[n - m] * b) for m, (a, b) in
+                     enumerate(zip(accumulate(tail_num, mul), accumulate(tail_den, mul)))])
     return vecs
 
 
@@ -284,9 +387,15 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
     head ratios times that of the first m+1 tail ratios, so the cost is
     O(depth * n) products instead of rebuilding every rising factorial.
     Each head denominator factor is checked for resonance, which covers
-    the tail factors too; over Fractions the vectors are exact.
+    the tail factors too.  A Fraction set yields exact rational vectors,
+    computed in integers: each running ratio is an integer numerator and
+    denominator, advanced by the factors d u_j + d i and d v_j + d i, d
+    the lcm of the denominators.
     """
     n = p.n
+    exact = integer_windows(p)
+    if exact is not None:
+        return _integer_closed_form_vectors(n, k, depth, *exact)
     one = p.alpha[0] * 0 + 1
     heads_num = [p.partial_sum(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
     heads_den = [p.partial_sum(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
@@ -355,8 +464,12 @@ class SeriesSolution:
 
     def value(self, t: complex) -> np.ndarray:
         """The solution at t; raises ``SeriesError`` where it is not finite
-        (for example once the powers of t overflow)."""
+        (for example once the powers of t overflow) and at t = 0 for a
+        nonzero exponent, where t = 0 is a singular point of the branch."""
         t = complex(t)
+        if t == 0 and self.exponent != 0:
+            raise SeriesError(f"t = 0 is a singular point of branch {self.k} "
+                              f"(exponent {self.exponent})")
         g = _powers(t, self.depth + 1) @ self.coeffs
         split = self.n - self.k
         out = t ** self.exponent * np.concatenate((g[split:], t * g[:split]))

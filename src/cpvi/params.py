@@ -10,13 +10,19 @@ live here.
 
 Scalars are complex doubles in production; ``Fraction`` entries are
 accepted as well and all window arithmetic then stays exact (used by the
-rational cross-check of the series recurrence).
+rational cross-check of the series recurrence).  For a set whose entries
+are all Fractions, :func:`integer_windows` gives every window sum as an
+integer numerator over the lcm d of the denominators, read from one prefix
+sum of the numerators d * alpha_i; the exact recurrence and closed form of
+``linear`` compute on those integers and form a Fraction only per result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -142,6 +148,31 @@ def _scalar_from_json(v):
 def partial_sum(p: ParameterSet, k: int, l: int):
     """Free-function form of :meth:`ParameterSet.partial_sum`."""
     return p.partial_sum(k, l)
+
+
+def integer_windows(p: ParameterSet):
+    """(d, window) for a set whose entries are all Fractions, else None.
+
+    d is the lcm of the denominators and window(k, l) the integer
+    d * p.partial_sum(k, l), read from one prefix sum of the numerators
+    c_i = d * alpha_i: a window of q whole periods and r more terms is q
+    times the period sum plus one difference of prefix sums.
+    """
+    if not all(isinstance(a, Fraction) for a in p.alpha):
+        return None
+    d = math.lcm(*(a.denominator for a in p.alpha))
+    c = [a.numerator * (d // a.denominator) for a in p.alpha]
+    m = len(c)
+    prefix = list(accumulate(c + c, initial=0))
+
+    def window(k: int, l: int) -> int:
+        if l < 0:
+            return 0
+        q, r = divmod(l + 1, m)
+        k %= m
+        return q * prefix[m] + prefix[k + r] - prefix[k]
+
+    return d, window
 
 
 # -- genericity --------------------------------------------------------

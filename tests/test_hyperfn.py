@@ -97,6 +97,26 @@ class TestEvalSeries:
         assert fpp == pytest.approx(a * (a + 1) * (1 - t) ** (-a - 2), rel=1e-12)
 
 
+class TestTermRatio:
+    def test_parameter_near_zero_keeps_its_accuracy(self):
+        # branch 6 of this set has the upper window a_1 = 9.28e-4; forming
+        # (a_1 + 1) - 1 instead of a_1 + 0 cost 1.04e-13 relative
+        mpmath = pytest.importorskip("mpmath")
+        from cpvi.linear import branch_spec
+        from cpvi.params import sample_generic
+
+        _, spec = branch_spec(sample_generic(6, 567, margin=0.02), 6, 0)
+        assert min(abs(a) for a in spec.upper) < 1e-3
+        with mpmath.workdps(40):
+            exact = mpmath.mpf(1)
+            for a in spec.upper:
+                exact *= mpmath.mpc(a)
+            for b in spec.lower:
+                exact /= mpmath.mpc(b)
+            exact = complex(exact)
+        assert abs(spec.term_ratio(1) - exact) <= 1e-15 * abs(exact)
+
+
 class TestOdeResidual:
     def test_exact_solution_cancels(self):
         spec = HGSpec((0.5, 0.7), (0.9,))

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from cpvi.dynamics import integrate, linear_rhs
-from cpvi.hyperfn import HGSpec, SeriesError, eval_series, series_coefficients
+from cpvi.hyperfn import HGSpec, SeriesError, eval_series, pochhammer, series_coefficients
 from cpvi.linear import (
     LinearSystem,
     ResonanceError,
     SeriesSolution,
+    _fuchsian_matrices,
     branch_exponent,
     branch_spec,
     build_confluent,
@@ -326,6 +327,73 @@ class TestResonance:
             assert np.isfinite(fundamental_matrix(p, 0.3)).all()
 
 
+# Entries over the denominators 3, 7, 97 and their products; every window
+# sum of even length is a non-integer, as for sample_rational_generic.
+MIXED_DENOMINATORS = ParameterSet(3, (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 97),
+                                      Fraction(2, 3), Fraction(1, 7), Fraction(-3, 97),
+                                      Fraction(4, 21), Fraction(-139, 2037)), Fraction(0), 0)
+EXACT_SETS = [pytest.param(sample_rational_generic(n, seed), id=f"n{n}-seed{seed}")
+              for n in (1, 2, 3, 4) for seed in (1, 2)]
+EXACT_SETS.append(pytest.param(MIXED_DENOMINATORS, id="mixed-denominators"))
+
+
+def _product_formula(p, k, depth):
+    """The closed form's docstring formula, from rising factorials of window
+    sums taken with Fraction arithmetic."""
+    n = p.n
+    u = [p.partial_sum(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
+    v = [p.partial_sum(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
+    s = [p.partial_sum(2 * k + 2 * j + 3, 2 * n - 2 * j) for j in range(n + 1)]
+    r = [p.partial_sum(2 * k + 2 * j + 2, 2 * n - 2 * j + 1) for j in range(n + 1)]
+    vecs = []
+    for i in range(depth + 1):
+        vec = []
+        for m in range(n + 1):
+            x = Fraction(1)
+            for j in range(n - m):
+                x *= pochhammer(u[j], i + 1) / pochhammer(v[j], i + 1)
+            for j in range(m + 1):
+                x *= pochhammer(s[j], i) / pochhammer(r[j], i)
+            vec.append(x)
+        vecs.append(vec)
+    return vecs
+
+
+def _matvec(A, x):
+    return [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in A]
+
+
+class TestExactOracles:
+    """The exact vectors against the old Fraction arithmetic, each route on
+    its own: the product formula, and the recurrence's defining equations."""
+
+    @pytest.mark.parametrize("p", EXACT_SETS)
+    def test_closed_form_is_product_formula(self, p):
+        for k in range(p.n + 1):
+            expected = _product_formula(p, k, 10)
+            for depth in range(11):
+                vecs = closed_form_vectors(p, k, depth)
+                assert all(type(x) is Fraction for vec in vecs for x in vec)
+                assert vecs == expected[:depth + 1]
+
+    @pytest.mark.parametrize("p", EXACT_SETS)
+    def test_recurrence_solves_its_equations(self, p):
+        n = p.n
+        for k in range(n + 1):
+            A0, A1 = _fuchsian_matrices(p.shifted(2 * k + 2))
+            full = recurrence_vectors(p, k, 10)
+            assert all(type(x) is Fraction for vec in full for x in vec)
+            assert full[0][-1] == 1
+            assert _matvec(A0, full[0]) == [0] * (n + 1)
+            for i in range(10):
+                x, y = full[i], full[i + 1]
+                lhs = [a - (i + 1) * v for a, v in zip(_matvec(A0, y), y)]
+                rhs = [a - b - i * v for a, b, v in zip(_matvec(A0, x), _matvec(A1, x), x)]
+                assert lhs == rhs
+            for depth in range(10):
+                assert recurrence_vectors(p, k, depth) == full[:depth + 1]
+
+
 def _perturb_largest(sol, rel=1e-6):
     """Copy of sol with its largest coefficient in rows 1..19 scaled by 1 + rel."""
     coeffs = sol.coeffs.copy()
@@ -502,6 +570,15 @@ class TestFundamentalSolutions:
     def test_matrix_raises_outside_disc(self):
         with pytest.raises(SeriesError):
             fundamental_matrix(sample_generic(2, seed=7), 1.2)
+
+    def test_matrix_raises_at_origin(self):
+        with pytest.raises(SeriesError, match="t = 0 is a singular point of branch 0"):
+            fundamental_matrix(sample_generic(2, seed=7), 0)
+
+    def test_analytic_branch_has_value_at_origin(self):
+        sol = fundamental_solution(sample_generic(2, seed=7), 2, depth=10)
+        assert sol.exponent == 0
+        assert np.array_equal(sol.value(0), sol.coeffs[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_component_operator_residuals(self, n):
