@@ -16,6 +16,10 @@ d/dt F(a; b; t) = (prod a / prod b) F(a + 1; b + 1; t) (DLMF 16.3.1).
 There is one summation loop, :func:`_contiguous_sums`: :func:`eval_series`
 is its case without levels, and the branch functions of a linear system,
 which are contiguous levels of one base series, are its case with them.
+There is one level rule, :func:`_level_weights`: the loop's level terms,
+the level prefactors and the level coefficient tables of ``linear`` all
+come from it.  Every sum stops at the one relative tolerance
+``SERIES_RTOL``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_TERMS = 100_000
+SERIES_RTOL = 1e-12         # relative tolerance of the stopping rule of every sum
 _CONVERGED_RUN = 3          # consecutive small terms required by the stopping rule
 _DENOM_FLOOR = 1e-250
 
@@ -91,16 +96,17 @@ def _check_domain(spec: HGSpec, t: complex):
         raise SeriesError(f"series diverges for |t| >= 1 (got |t| = {abs(t):.6g})")
 
 
-def _contiguous_sums(spec: HGSpec, t: complex, rtol: float = 1e-12, windows=()):
+def _contiguous_sums(spec: HGSpec, t: complex, windows=()):
     """Sums at t of the series and of its contiguous levels.
 
     ``windows`` holds one pair (a_j, b_j) per level j = 1, 2, ...; a_j is
     None where the upper window is absorbed.  Level l multiplies base term
     i by W_l(i) = prod_{j<=l} f_j(i), with f_j(i) = (a_j + i) / (b_j + i),
-    or 1 / (b_j + i) for an absorbed window.  So level l sums to
-    W_l(0) F(l), where F(l) is the series with a_j and b_j raised by one
-    for j <= l and the absorbed a_j left out (the term ratio of Petkovsek,
-    Wilf & Zeilberger, *A = B*, ch. 3, taken across levels).
+    or 1 / (b_j + i) for an absorbed window (see :func:`_level_weights`).
+    So level l sums to W_l(0) F(l), where F(l) is the series with a_j and
+    b_j raised by one for j <= l and the absorbed a_j left out (the term
+    ratio of Petkovsek, Wilf & Zeilberger, *A = B*, ch. 3, taken across
+    levels).
 
     Each level stops by the rule of :func:`eval_series` on its own terms
     and sums them with ``math.fsum``; the loop ends once every level has
@@ -108,21 +114,17 @@ def _contiguous_sums(spec: HGSpec, t: complex, rtol: float = 1e-12, windows=()):
     counts the base terms formed, level 0's count when there are no
     levels.
     """
-    if rtol <= 0:
-        raise ValueError("rtol must be positive")
+    rtol = SERIES_RTOL
     t = complex(t)
     _check_domain(spec, t)
     levels = len(windows)
     # level j + 1: its real and imaginary terms, running total, small run
     # and, once stopped, its sum
-    lre, lim, ltot, lrun = [], [], [], [0] * levels
+    ltot = _level_weights(1.0 + 0.0j, windows, 0)[1:]
+    lre = [array("d", [w.real]) for w in ltot]
+    lim = [array("d", [w.imag]) for w in ltot]
+    lrun = [0] * levels
     lsums = [None] * levels
-    w = 1.0 + 0.0j
-    for a, b in windows:
-        w = _weighted(w, a, b, 0)
-        lre.append(array("d", [w.real]))
-        lim.append(array("d", [w.imag]))
-        ltot.append(w)
     if t == 0:
         return [1.0 + 0.0j] + ltot, 1
     pending = levels + 1
@@ -170,28 +172,42 @@ def _contiguous_sums(spec: HGSpec, t: complex, rtol: float = 1e-12, windows=()):
 
 
 def _weighted(w: complex, a, b, i: int) -> complex:
-    """w times the level factor f_j(i) of :func:`_contiguous_sums`; at
-    i = 0 this is the prefactor step of ``linear.branch_spec`` exactly."""
+    """w times the level factor f_j(i) = (a + i) / (b + i), or 1 / (b + i)
+    for an absorbed window (a None); raises ``SeriesError`` where b + i
+    vanishes.  The one place a level factor is formed."""
     den = b + i
     if abs(den) < _DENOM_FLOOR:
         raise SeriesError(f"vanishing denominator in level factor {i} (lower parameter resonance)")
     return w / den if a is None else w * ((a + i) / den)
 
 
-def eval_series(spec: HGSpec, t: complex, rtol: float = 1e-12):
+def _level_weights(w: complex, windows, i: int) -> list:
+    """[w, w W_1(i), w W_2(i), ...]: w carried through the level factors of
+    ``windows`` at index i, one :func:`_weighted` step per level.  At
+    i = 0 with w = 1 these are the prefactors W_l(0) of the levels; with w
+    the base coefficient c_i they are row i of the level coefficients."""
+    out = [w]
+    for a, b in windows:
+        w = _weighted(w, a, b, i)
+        out.append(w)
+    return out
+
+
+def eval_series(spec: HGSpec, t: complex):
     """Sum the series at t.  Returns (value, terms_used).
 
-    Stops once three consecutive terms are each below rtol times the
+    Stops once three consecutive terms are each below ``SERIES_RTOL``
+    (1e-12, the one tolerance of every sum in this module) times the
     running partial sum (guards against even/odd term oscillation); the
     hard cap is ``MAX_TERMS``.  The value is ``math.fsum`` of the real and
     imaginary parts of the terms, so it is correctly rounded whatever the
     cancellation; the plain running total serves the stopping rule only.
     """
-    (value,), terms = _contiguous_sums(spec, t, rtol)
+    (value,), terms = _contiguous_sums(spec, t)
     return value, terms
 
 
-def eval_series_jet(spec: HGSpec, t: complex, rtol: float = 1e-12, order: int = 2):
+def eval_series_jet(spec: HGSpec, t: complex, order: int = 2):
     """Value and the first ``order`` t-derivatives.
 
     Returns (jet, terms_used) with jet[d] = d-th derivative at t, from the
@@ -202,7 +218,7 @@ def eval_series_jet(spec: HGSpec, t: complex, rtol: float = 1e-12, order: int = 
     jet, terms = [], 0
     for d in range(order + 1):
         shifted = HGSpec(tuple(a + d for a in spec.upper), tuple(b + d for b in spec.lower))
-        value, used = eval_series(shifted, t, rtol)
+        value, used = eval_series(shifted, t)
         for a in spec.upper:
             value *= pochhammer(a, d)
         for b in spec.lower:
@@ -250,19 +266,25 @@ def _operator_polys(spec: HGSpec):
 
 
 def operator_residual(spec: HGSpec, coeffs, t: complex, exponent: complex = 0.0) -> float:
-    """Relative cancellation of the defining operator on a truncated series.
+    """Relative defect of the defining operator on a truncated series.
 
     ``coeffs`` are the coefficients of sum c_i t^(exponent + i).  The
     operator image restricted to the retained degrees is
     sum_i [P(rho+i) c_i - Q(rho+i-1) c_{i-1}] t^i (times t^rho, which drops
-    out of the normalisation); the result is its magnitude at t divided by
-    the largest retained monomial entering it.  Exact formal solutions give
-    rounding-level values; the overflow monomial beyond the truncation
-    order is deliberately not charged to the residual.
+    out of the normalisation).  Two readings of it are taken, and the
+    larger is returned:
 
-    P and Q are evaluated on all degrees at once and the image is summed
-    with ``math.fsum`` on its real and imaginary parts, so the sum is
-    correctly rounded whatever the cancellation.
+    * coefficient level: max_i |P(rho+i) c_i - Q(rho+i-1) c_{i-1}| over
+      the largest of the two terms, the Frobenius recursion checked degree
+      by degree, so an error in a high coefficient shows whatever t is;
+    * point level: the image's magnitude at t over the largest retained
+      monomial entering it.
+
+    Exact formal solutions give rounding-level values; the overflow
+    monomial beyond the truncation order is deliberately not charged to
+    the residual.  P and Q are evaluated on all degrees at once and the
+    image at t is summed with ``math.fsum`` on its real and imaginary
+    parts, so the sum is correctly rounded whatever the cancellation.
     """
     c = np.asarray(coeffs, dtype=complex)
     if c.size == 0:
@@ -272,17 +294,21 @@ def operator_residual(spec: HGSpec, coeffs, t: complex, exponent: complex = 0.0)
     lead = P(s) * c
     lag = np.zeros_like(c)
     lag[1:] = Q(s[1:] - 1) * c[:-1]
+    scale = max(np.max(np.abs(lead)), np.max(np.abs(lag)))
+    if scale == 0.0:
+        return 0.0
+    coefficient_level = float(np.max(np.abs(lead - lag)) / scale)
     tpow = _powers(t, c.size)
     lead *= tpow
     lag *= tpow
     scale = max(np.max(np.abs(lead)), np.max(np.abs(lag)))
     if scale == 0.0:
-        return 0.0
+        return coefficient_level
     image = lead - lag
-    return abs(complex(math.fsum(image.real), math.fsum(image.imag))) / scale
+    return max(coefficient_level, abs(complex(math.fsum(image.real), math.fsum(image.imag))) / scale)
 
 
-def ode_residual(spec: HGSpec, t: complex, rtol: float = 1e-12) -> float:
+def ode_residual(spec: HGSpec, t: complex) -> float:
     """Residual of the spec's own series in its defining operator at t.
 
     The series is truncated by the same rule as :func:`eval_series`; the
@@ -293,7 +319,7 @@ def ode_residual(spec: HGSpec, t: complex, rtol: float = 1e-12) -> float:
     _check_domain(spec, t)
     if t == 0:
         return 0.0
-    value, terms = eval_series(spec, t, rtol)
+    value, terms = eval_series(spec, t)
     coeffs = series_coefficients(spec, terms - 1)
     return operator_residual(spec, coeffs, t)
 

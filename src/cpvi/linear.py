@@ -20,7 +20,10 @@ and the three independent routes to the series solutions at t = 0:
   level r the upper windows starting at the odd slots 2s+1, s < r, are
   absorbed by the time rescaling of the confluence limit and dropped.
   The n+1 branch functions of a branch are contiguous levels of one base
-  series, so :func:`fundamental_matrix` sums all of them in one pass.
+  series: level l is the base series times its level weights W_l(i)
+  (:func:`hyperfn._level_weights`).  This one rule makes the coefficient
+  tables of :func:`fundamental_solution`, the prefactors of
+  :func:`branch_spec` and the one-pass sums of :func:`fundamental_matrix`.
 
 The first two take parameter sets of complex entries or of Fraction
 entries.  A Fraction set is computed in Python integers: every window sum
@@ -43,8 +46,8 @@ from operator import mul
 
 import numpy as np
 
-from .hyperfn import (HGSpec, SeriesError, _contiguous_sums, _powers, operator_residual,
-                      series_coefficients)
+from .hyperfn import (HGSpec, SeriesError, _contiguous_sums, _level_weights, _powers,
+                      operator_residual, series_coefficients)
 from .params import ParameterSet, integer_windows
 
 
@@ -535,6 +538,13 @@ def _shifted_spec(upper, lower, l: int) -> HGSpec:
     )
 
 
+def _branch_levels(p: ParameterSet, k: int):
+    """Base spec (level 0) of branch k and its level windows (a_l, b_l),
+    l = 1..n: the arguments of the level rule :func:`hyperfn._level_weights`."""
+    upper, lower = _branch_windows(p, k)
+    return _shifted_spec(upper, lower, 0), tuple(zip(upper[1:], lower))
+
+
 def branch_spec(p: ParameterSet, k: int, l: int):
     """(prefactor, HGSpec) of the level-l branch function of branch k, at
     every confluence level r = p.degeneracy.
@@ -542,7 +552,9 @@ def branch_spec(p: ParameterSet, k: int, l: int):
     Every window ends at slot 2k+1.  Upper window a_i starts at the odd
     slot 2(k-i+1)+1 and holds 2i-1 terms (a_0: 2n+1); lower window b_i
     starts at 2k-2i+2 and holds 2i terms.  a_i and b_i are shifted by one
-    for 1 <= i <= l, and the prefactor is prod_{i<=l} a_i / b_i, unshifted.
+    for 1 <= i <= l.  The prefactor is the level weight W_l(0) =
+    prod_{i<=l} a_i / b_i of the unshifted windows, from the level rule of
+    :func:`hyperfn._level_weights`; a vanishing b_i raises ``SeriesError``.
 
     At level r the upper window starting at the odd slot 2s+1 is dropped
     for every s < r, from the parameters and from the prefactor numerator.
@@ -552,11 +564,10 @@ def branch_spec(p: ParameterSet, k: int, l: int):
     lim_{a -> oo} F(..., a; ...; t/a) of DLMF 16.8(ii).  Every other window
     holds both slots or neither.  Generic sets (r = 0) drop nothing.
     """
+    if not (0 <= k <= p.n and 0 <= l <= p.n):
+        raise ValueError(f"branch {k} or level {l} out of range 0..{p.n}")
     upper, lower = _branch_windows(p, k)
-    pref = 1.0 + 0.0j
-    for i in range(1, l + 1):
-        _require_nonzero(lower[i - 1], "prefactor window sum")
-        pref = pref / lower[i - 1] if upper[i] is None else pref * (upper[i] / lower[i - 1])
+    pref = _level_weights(1.0 + 0.0j, tuple(zip(upper[1:l + 1], lower)), 0)[-1]
     return pref, _shifted_spec(upper, lower, l)
 
 
@@ -566,12 +577,16 @@ def fundamental_solution(p: ParameterSet, k: int, depth: int = 49) -> SeriesSolu
     series; valid on |t| < 1 for generic sets, entire for confluent ones.
 
     Gauge component n-l holds the Taylor coefficients of the level-l
-    branch function, its prefactor times the series of its spec."""
+    branch function: row i is the base coefficient c_i carried through the
+    level factors at i (:func:`hyperfn._level_weights`), the rule that
+    :func:`fundamental_matrix` sums by.  A vanishing lower window raises
+    ``SeriesError``."""
     if not 0 <= k <= p.n:
         raise ValueError(f"branch index {k} out of range 0..{p.n}")
-    specs = [branch_spec(p, k, l) for l in range(p.n + 1)]
-    coeffs = np.stack([pref * series_coefficients(spec, depth) for pref, spec in specs[::-1]],
-                      axis=1)
+    spec, windows = _branch_levels(p, k)
+    base = series_coefficients(spec, depth).tolist()
+    coeffs = np.array([_level_weights(c, windows, i)[::-1] for i, c in enumerate(base)],
+                      dtype=complex)
     return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)), coeffs=coeffs)
 
 
@@ -583,16 +598,15 @@ def fundamental_matrix(p: ParameterSet, t: complex) -> np.ndarray:
     terms are the base terms times one rational weight per level (see
     :func:`branch_spec`).  One pass of the summation loop over the base
     series therefore gives all n+1 level sums of a branch, each stopped by
-    the rule of :func:`eval_series` at its default rtol on its own terms;
-    they form one row of gauge-frame coefficients, evaluated by
-    :meth:`SeriesSolution.value`.  A generic set raises ``SeriesError`` at
-    |t| >= 1, where its series diverge; confluent sets are entire.
+    the rule of :func:`eval_series` on its own terms; they form one row of
+    gauge-frame coefficients, evaluated by :meth:`SeriesSolution.value`.
+    A generic set raises ``SeriesError`` at |t| >= 1, where its series
+    diverge; confluent sets are entire.
     """
     columns = []
     for k in range(p.n + 1):
-        upper, lower = _branch_windows(p, k)
-        levels, _ = _contiguous_sums(_shifted_spec(upper, lower, 0), t,
-                                     windows=tuple(zip(upper[1:], lower)))
+        spec, windows = _branch_levels(p, k)
+        levels, _ = _contiguous_sums(spec, t, windows=windows)
         sol = SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)),
                              coeffs=np.array([levels[::-1]], dtype=complex))
         columns.append(sol.value(t))
@@ -667,11 +681,15 @@ def component_ode_params(p: ParameterSet, i: int) -> HGSpec:
 
 
 def component_operator_residual(p: ParameterSet, sol: SeriesSolution, t: complex) -> float:
-    """Worst per-component residual of a branch solution in its scalar operator."""
+    """Worst per-component residual of a branch solution in its scalar
+    operator (:func:`component_ode_params`), each read at the coefficient
+    level and at t by :func:`hyperfn.operator_residual`."""
+    n = p.n
     u = sol.original_coeffs()
+    upper, lower = _branch_windows(p, n)
     worst = 0.0
-    for i in range(p.n + 1):
-        spec = component_ode_params(p, i)
+    for i in range(n + 1):
+        spec = _shifted_spec(upper, lower, n - i)
         # components beyond the branch index carry an extra factor of t
         rho = sol.exponent + (1.0 if i > sol.k else 0.0)
         coeffs = u[1:, i] if i > sol.k else u[:, i]

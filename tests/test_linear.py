@@ -10,6 +10,7 @@ from cpvi.linear import (
     LinearSystem,
     ResonanceError,
     SeriesSolution,
+    _branch_windows,
     _fuchsian_matrices,
     branch_exponent,
     branch_spec,
@@ -412,6 +413,17 @@ class TestResidualSensitivity:
             assert recurrence_residual(sys, bad) > 1e-10
             assert component_operator_residual(p, bad, 0.4) > 1e-8
 
+    # the largest coefficient of these sets sits at row 19, where at t = 0.4
+    # its error was below the rounding of the low-degree terms: the point
+    # residual read 5.7e-11 to 3.2e-10, the coefficient-level one 1.2e-8
+    # to 3.7e-8
+    @pytest.mark.parametrize("n,seed", [(3, 93), (2, 162)])
+    def test_high_degree_perturbation_detected(self, n, seed):
+        p = sample_generic(n, seed=seed)
+        for k in range(n + 1):
+            bad = _perturb_largest(fundamental_solution(p, k, depth=60))
+            assert component_operator_residual(p, bad, 0.4) > 1e-9
+
     @pytest.mark.parametrize("n,r", [(1, 1), (2, 3), (3, 4)])
     def test_confluent_perturbation_detected(self, n, r):
         p = sample_degenerate(n, r, seed=200 + 10 * n + r)
@@ -506,6 +518,51 @@ class TestFundamentalSolutions:
                 u = [g[m + n - k] if m <= k else t * g[m - k - 1] for m in range(n + 1)]
                 want = t ** sol.exponent * np.array(u)
                 assert np.linalg.norm(sol.value(t) - want) <= 1e-14 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in range(1, 7) for r in range(n + 2)])
+    def test_columns_match_per_level_assembly(self, n, r):
+        # each level-l branch function on its own: its prefactor times the
+        # Taylor coefficients of its spec, placed in gauge column n - l
+        p = sample_degenerate(n, r, seed=400 + 10 * n + r) if r else sample_generic(n, seed=400 + n)
+        for k in range(n + 1):
+            self._assert_matches_per_level(p, k)
+
+    def test_columns_match_per_level_assembly_small_window(self):
+        p = sample_generic(6, 567, margin=0.02)
+        assert abs(branch_spec(p, 6, 0)[1].upper[1]) < 1e-3      # a_1 = 9.28e-4
+        self._assert_matches_per_level(p, 6)
+
+    @staticmethod
+    def _assert_matches_per_level(p, k, depth=60):
+        got = fundamental_solution(p, k, depth).coeffs
+        upper, lower = _branch_windows(p, k)
+        for l in range(p.n + 1):
+            # prefactor prod_{i<=l} a_i / b_i, 1 / b_i for an absorbed a_i
+            pref = np.prod([(1.0 if a is None else a) / b for a, b in zip(upper[1:l + 1], lower)])
+            want = pref * series_coefficients(branch_spec(p, k, l)[1], depth)
+            col = got[:, p.n - l]
+            assert np.linalg.norm(col - want) <= 1e-13 * np.linalg.norm(want), (k, l)
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 2)])
+    def test_zero_lower_window_raises_series_error(self, k, l):
+        # alpha_2 + alpha_3 = 0 is b_1 of branch 1, and alpha_2 + ... +
+        # alpha_5 = 0 is b_2 of branch 2
+        alpha = ([0.5, 0.25, 0.25, -0.25, 0.125, 0.125] if l == 1
+                 else [0.75, 0.25, 0.25, -0.5, 0.125, 0.125])
+        p = pset(alpha)
+        assert _branch_windows(p, k)[1][l - 1] == 0
+        for level in range(p.n + 1):
+            with pytest.raises(SeriesError):
+                branch_spec(p, k, level)
+        with pytest.raises(SeriesError):
+            fundamental_solution(p, k)
+        with pytest.raises(SeriesError):
+            fundamental_matrix(p, 0.3)
+
+    def test_branch_spec_rejects_out_of_range(self):
+        for k, l in ((0, -1), (0, 2), (-1, 0), (2, 0)):
+            with pytest.raises(ValueError, match="out of range"):
+                branch_spec(P_N1, k, l)
 
     def test_solution_matrix_invertible(self):
         for n in (1, 2, 3):
