@@ -1,32 +1,32 @@
 """Hamiltonian vector fields of the hierarchy and a generic integrator.
 
-Three families of flows live here.  Each flow family of the first two
-(coupled, symmetric, confluent at every level) has exactly one kernel,
-and the kernel is the field: a hand-written polynomial gradient of the
-Hamiltonian, divided by the time factor, written as a scalar loop over
-Python complex numbers.  Each kernel raises IntegrationError at its own
-singular times.  It reads the flat state as one list and returns the
-flat field as one list.  The states have length at most 2n+2, and at that
-size numpy's fixed cost per array operation (about a microsecond) would
-dominate a field call; the scalar loop costs a few dozen complex
-operations per site instead.  The rhs closure of a family builds the
-kernel's parameter constants once; the public field function builds that
-closure on every call and splits its flat result.  There are no separate
-gradient functions: the tests read each gradient off the field and hold
-it to its Hamiltonian exactly, with a unit-step five-point stencil that
-has no truncation error at the degrees these Hamiltonians have.  The
-fields of the canonical systems are derived from their Hamiltonians.
-The families are:
+Three families of flows live here:
 
-* the rank-n coupled Painleve VI system in canonical variables
-  (q_1..q_n, p_1..p_n), with time scaled by t(t-1);
-* its symmetric form in (x_0..x_n, y_0..y_n) constrained to
+* the symmetric form in (x_0..x_n, y_0..y_n) constrained to
   sum(x_i y_i) + eta = 0, plus the confluent levels, whose Hamiltonians
-  carry a single 1/t pole;
+  carry a single 1/t pole: one kernel for the symmetric form, one for
+  every confluent level;
+* the rank-n coupled Painleve VI system in canonical variables
+  (q_1..q_n, p_1..p_n), with time scaled by t(t-1): the symmetric kernel
+  in chart n, q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t, eta = -sum(x_i y_i)
+  (see :func:`cp6_rhs`);
 * the five low-rank canonical systems (fifth and third Painleve for
   rank 1, three rank-2 confluences), each written in its own natural
   time variable so the sign flips of the source chain are absorbed in
-  the coordinate-map checks, not in the fields.
+  the coordinate-map checks, not in the fields derived from their
+  Hamiltonians.
+
+A kernel is the field: a hand-written polynomial gradient of the
+Hamiltonian, divided by the time factor, as a scalar loop over Python
+complex numbers.  It raises IntegrationError at its own singular times,
+reads the flat state as one list and returns the flat field as one list.
+The states have length at most 2n+2, and at that size numpy's fixed cost
+per array operation (about a microsecond) would dominate a field call.
+The rhs closure of a family builds the kernel's parameter constants once;
+the public field function builds that closure on every call and splits
+its flat result.  The tests read each gradient off the field and hold it
+to its Hamiltonian exactly, with a unit-step five-point stencil that has
+no truncation error at these degrees.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with complex
 state support; its stage states, fifth-order solution and error estimate
@@ -68,84 +68,51 @@ def _split_field(rhs, a, b, t):
 # coupled Painleve VI in canonical variables
 
 
-def _cp6_constants(p: ParameterSet):
-    """(K, c0, c1, k0, kappa, a) for each site i = 1..n, as Python complex numbers.
-
-    With k0 = sum(odd alpha) - alpha_{2i-1} - eta, k1 = alpha_0 + ... +
-    alpha_{2i-2} and kt = alpha_{2i} + ... + alpha_{2n}, the one-site term
-    k0 (q-1)(q-t) p + k1 q(q-t) p + (kt-1) q(q-1) p is (K q^2 - (c0 + c1 t) q + k0 t) p;
-    kappa = alpha_{2i-1} eta and a = alpha_{2i-1}.
-    """
-    eta = complex(p.eta)
-    odd_total = complex(sum(p.alpha[1::2]))
-    even = [complex(v) for v in p.alpha[0::2]]
-    sites = []
-    for i in range(1, p.n + 1):
-        a = complex(p.alpha[2 * i - 1])
-        k0 = odd_total - a - eta
-        k1 = sum(even[:i])
-        kt = sum(even[i:])
-        sites.append((k0 + k1 + kt - 1, k0 + kt - 1, k0 + k1, k0, a * eta, a))
-    return sites
-
-
 def hamiltonian_cp6(p: ParameterSet, q, pm, t):
-    """Coupled Hamiltonian: one-site terms plus the pairwise coupling."""
+    """Coupled Hamiltonian: one-site terms plus the pairwise coupling.
+
+    Site i adds q(q-1)(q-t) p^2 - B + a eta q at (q, p, a) = (q_i, p_i, alpha_{2i-1}), where
+    B = k0 (q-1)(q-t) p + k1 q(q-t) p + (kt-1) q(q-1) p = (K q^2 - (c0 + c1 t) q + k0 t) p,
+    k0 = sum(odd alpha) - a - eta, k1 = alpha_0 + alpha_2 + ... + alpha_{2i-2}, kt = alpha_{2i}
+    + alpha_{2i+2} + ... + alpha_{2n}, K = k0 + k1 + kt - 1, c0 = k0 + kt - 1, c1 = k0 + k1.
+    Each pair i < j adds (q_i - 1)(q_j - t)((q_i p_i + a_i) p_j + p_i (q_j p_j + a_j)).
+    """
     q, pm = _cvec(q).tolist(), _cvec(pm).tolist()
-    c = _cp6_constants(p)
+    eta = complex(p.eta)
+    even = [complex(v) for v in p.alpha[0::2]]
+    odd = [complex(v) for v in p.alpha[1::2]]
     total = 0j
-    for (big_k, c0, c1, k0, kap, _), qi, pi in zip(c, q, pm):
+    for i, (qi, pi) in enumerate(zip(q, pm)):
+        k0 = sum(odd) - odd[i] - eta
+        k1 = sum(even[:i + 1])
+        kt = sum(even[i + 1:])
         total += (qi * (qi - 1) * (qi - t) * pi * pi
-                  - (big_k * qi * qi - (c0 + c1 * t) * qi + k0 * t) * pi + kap * qi)
+                  - (k0 * (qi - 1) * (qi - t) + k1 * qi * (qi - t) + (kt - 1) * qi * (qi - 1)) * pi
+                  + odd[i] * eta * qi)
     for i in range(p.n):
         for j in range(i + 1, p.n):
-            total += (q[i] - 1) * (q[j] - t) * ((q[i] * pm[i] + c[i][5]) * pm[j]
-                                                + pm[i] * (q[j] * pm[j] + c[j][5]))
+            total += (q[i] - 1) * (q[j] - t) * ((q[i] * pm[i] + odd[i]) * pm[j]
+                                                + pm[i] * (q[j] * pm[j] + odd[j]))
     return total
 
 
-def _cp6_kernel(c, v, t):
-    """The field (dH/dp, -dH/dq) / (t(t-1)) of the coupled system on the flat state v = (q, p).
-
-    ``c`` holds the site constants, ``v`` is a list of Python complex
-    numbers and so is the result.  The coupling
-    sum_{i<j} u_i w_j (A_i p_j + p_i A_j), with u = q - 1, w = q - t and
-    A = q p + alpha_{2i-1}, is differentiated through the prefix sums of
-    u A and u p over i < j and the suffix sums of w p and w A over j > i,
-    so a call costs O(n).
-    """
+def _chart_kernel(c, v, t):
+    """The coupled field on the flat state v = (q, p), by the chain rule of :func:`cp6_rhs`."""
     if t == 0 or t == 1:
         raise IntegrationError("the coupled system is singular at t in {0, 1}")
-    scale = 1.0 / (t * (t - 1.0))
-    n = len(c)
+    weights, eta = c
+    n = len(v) // 2
     q, pm = v[:n], v[n:]
-    a = [qi * pi + ci[5] for ci, qi, pi in zip(c, q, pm)]
-    suffix = []
-    suf_wp = suf_wa = 0j
-    for qi, pi, ai in zip(q[::-1], pm[::-1], a[::-1]):
-        suffix.append((suf_wp, suf_wa))
-        w = qi - t
-        suf_wp += w * pi
-        suf_wa += w * ai
-    fq, fp = [], []
-    pre_ua = pre_up = 0j
-    for (big_k, c0, c1, k0, kap, _), qi, pi, ai, (suf_wp, suf_wa) in zip(
-            c, q, pm, a, reversed(suffix)):
-        lin = c0 + c1 * t
-        u, w = qi - 1, qi - t
-        dq = (((3 * qi - 2 * (1 + t)) * qi + t) * pi * pi - (2 * big_k * qi - lin) * pi + kap
-              + pi * (pre_ua + w * pre_up + suf_wa) + ai * (pre_up + suf_wp) + u * pi * suf_wp)
-        dp = (2 * qi * u * w * pi - ((big_k * qi - lin) * qi + k0 * t)
-              + w * (pre_ua + qi * pre_up) + u * (qi * suf_wp + suf_wa))
-        fq.append(dp * scale)
-        fp.append(dq * -scale)
-        pre_ua += u * ai
-        pre_up += u * pi
-    return fq + fp
+    y_last = -(sum([qi * pi for qi, pi in zip(q, pm)]) + eta) / t
+    f = _symmetric_kernel(weights, q + [t] + pm + [y_last], t)
+    drift = (1.0 - f[n]) / t                  # each zip below stops before fx_n and fy_n
+    return ([fx + qi * drift for qi, fx in zip(q, f)]
+            + [fy - pi * drift for pi, fy in zip(pm, f[n + 1:])])
 
 
 def coupled_p6_field(p: ParameterSet, q, pm, t):
-    """(dq/dt, dp/dt): the canonical field divided by t(t-1)."""
+    """(dq/dt, dp/dt): the canonical field divided by t(t-1), which is the symmetric
+    field in chart n, q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t (see :func:`cp6_rhs`)."""
     return _split_field(cp6_rhs(p), q, pm, t)
 
 
@@ -623,7 +590,14 @@ def degenerate_rhs(p: ParameterSet):
 
 
 def cp6_rhs(p: ParameterSet):
-    return _kernel_rhs(_cp6_kernel, _cp6_constants(p))
+    """The flat coupled field: the symmetric kernel in chart n.
+
+    The chart is q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t (i = 1..n), eta = -sum(x_i y_i).  The
+    symmetric Hamiltonian is invariant under x -> lambda x, y -> y/lambda, so any x_n lifts (q, p);
+    x_n = t gives x = (q, t), y = (p, -(sum q_i p_i + eta)/t).  With (fx, fy) the symmetric field
+    there, dq_i/dt = fx_{i-1} + q_i (1 - fx_n)/t and dp_i/dt = fy_{i-1} - p_i (1 - fx_n)/t.
+    """
+    return _kernel_rhs(_chart_kernel, (_window_weights(p), complex(p.eta)))
 
 
 def appendix_rhs(which: str, p: ParameterSet):

@@ -95,8 +95,8 @@ class TestGradientOracles:
         p = kernel_set(n, seed=n)
         rng = np.random.default_rng(100 + n)
         for _ in range(10):
-            q = rng.uniform(-1.5, 1.5, n).astype(complex)
-            pm = rng.uniform(-1.5, 1.5, n).astype(complex)
+            q = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
+            pm = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
             t = rng.uniform(0.15, 0.85)
             dq, dp = field_gradients(lambda a, b: coupled_p6_field(p, a, b, t), q, pm, t * (t - 1))
             assert rel_err(dq, stencil_grad(lambda v: hamiltonian_cp6(p, v, pm, t), q)) < 1e-12
@@ -160,8 +160,25 @@ class TestCoupledField:
 
     def test_singular_time_rejected(self):
         p = sample_generic(1, seed=3)
-        with pytest.raises(IntegrationError):
-            coupled_p6_field(p, [0.5], [0.5], 1.0)
+        for t in (0.0, 1.0):
+            with pytest.raises(IntegrationError, match="coupled"):
+                coupled_p6_field(p, [0.5], [0.5], t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trajectory_is_symmetric_trajectory_in_the_chart(self, n):
+        # the chart moves with t and x_n drifts along the symmetric flow,
+        # which a pointwise comparison of the fields does not see
+        p = sample_generic(n, seed=120 + n)
+        x, y = constrained_state(p, np.random.default_rng(130 + n), spread=0.6)
+        ts = np.linspace(0.3, 0.5, 11)
+        sym = integrate(symmetric_rhs(p), np.concatenate((x, y)), 0.3, 0.5,
+                        rtol=1e-11, atol=1e-13, dense_ts=ts)
+        q, pm, _ = symmetric_to_canonical(p, x, y, 0.3)
+        cp6 = integrate(cp6_rhs(p), np.concatenate((q, pm)), 0.3, 0.5,
+                        rtol=1e-11, atol=1e-13, dense_ts=ts)
+        for t, s, c in zip(ts, sym.states, cp6.states):
+            want = np.concatenate(symmetric_to_canonical(p, s[:n + 1], s[n + 1:], t)[:2])
+            assert rel_err(c, want) < 1e-8
 
 
 class TestSymmetricField:
