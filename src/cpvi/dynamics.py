@@ -3,11 +3,11 @@
 Three families of flows live here:
 
 * the symmetric form in (x_0..x_n, y_0..y_n) constrained to
-  sum(x_i y_i) + eta = 0, plus the confluent levels, whose Hamiltonians
-  carry a single 1/t pole: one kernel for the symmetric form, one for
-  every confluent level;
+  sum(x_i y_i) + eta = 0, and its confluent levels, whose Hamiltonians
+  carry a single 1/t pole: one kernel for every level r = 0..n+1, the
+  symmetric form being level 0 (see :func:`_level_kernel`);
 * the rank-n coupled Painleve VI system in canonical variables
-  (q_1..q_n, p_1..p_n), with time scaled by t(t-1): the symmetric kernel
+  (q_1..q_n, p_1..p_n), with time scaled by t(t-1): the level-0 kernel
   in chart n, q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t, eta = -sum(x_i y_i)
   (see :func:`cp6_rhs`);
 * the five low-rank canonical systems (fifth and third Painleve for
@@ -97,14 +97,15 @@ def hamiltonian_cp6(p: ParameterSet, q, pm, t):
 
 
 def _chart_kernel(c, v, t):
-    """The coupled field on the flat state v = (q, p), by the chain rule of :func:`cp6_rhs`."""
+    """The coupled field on the flat state v = (q, p): the level-0 kernel in chart n, by the
+    chain rule of :func:`cp6_rhs`."""
     if t == 0 or t == 1:
         raise IntegrationError("the coupled system is singular at t in {0, 1}")
     weights, eta = c
     n = len(v) // 2
     q, pm = v[:n], v[n:]
     y_last = -(sum([qi * pi for qi, pi in zip(q, pm)]) + eta) / t
-    f = _symmetric_kernel(weights, q + [t] + pm + [y_last], t)
+    f = _level_kernel(weights, q + [t] + pm + [y_last], t)
     drift = (1.0 - f[n]) / t                  # each zip below stops before fx_n and fy_n
     return ([fx + qi * drift for qi, fx in zip(q, f)]
             + [fy - pi * drift for pi, fy in zip(pm, f[n + 1:])])
@@ -145,32 +146,6 @@ def hamiltonian_symmetric(p: ParameterSet, x, y, t):
     return part_t / t + part_1 / (1.0 - t)
 
 
-def _symmetric_kernel(c, v, t):
-    """The field (dH/dy, -dH/dx) of the symmetric system on the flat state v = (x, y)."""
-    if t == 0 or t == 1:
-        raise IntegrationError("the symmetric system is singular at t in {0, 1}")
-    big, odd = c
-    m = len(big)
-    x, y = v[:m], v[m:]
-    it = 1.0 / t
-    iu = 1.0 / (1.0 - t)
-    s = [xi * (xi * yi + oi) for xi, yi, oi in zip(x, y, odd)]
-    ytot = sum(y)
-    stail = sum(s)                            # sum of s_j over j > i after the update
-    stot_u, ytot_u = stail * iu, ytot * iu
-    ybelow = 0j
-    fx, fy = [], []
-    for xi, yi, si, bi, oi in zip(x, y, s, big, odd):
-        xy = xi * yi
-        w = xy + xy + oi
-        xx = xi * xi
-        stail -= si
-        fy.append(-(((xy - bi) * yi + w * ybelow) * it + w * ytot_u))
-        ybelow += yi
-        fx.append((xx * ybelow - bi * xi + stail) * it + stot_u + ytot_u * xx)
-    return fx + fy
-
-
 def symmetric_field(p: ParameterSet, x, y, t):
     return _split_field(symmetric_rhs(p), x, y, t)
 
@@ -189,26 +164,25 @@ def hamiltonian_degenerate(p: ParameterSet, x, y, t):
     return th / t
 
 
-def _degenerate_constants(p: ParameterSet):
-    """Window weights and the number r-1 of chain sites i < r-1 of a level-r set."""
-    r = p.degeneracy
-    if not 1 <= r <= p.n + 1:
-        raise ValueError("degenerate_field needs a parameter set of level 1..n+1")
-    big, odd = _window_weights(p)
-    return big, odd, r - 1
-
-
-def _degenerate_kernel(c, v, t):
+def _level_kernel(c, v, t):
     """The field (d(tH)/dy, -d(tH)/dx) / t of the level-r system on the flat state v = (x, y).
 
-    The chain sites i < r-1 couple only to their neighbours, through
+    One kernel serves every level r = 0..n+1; c = (big, odd, r).  At
+    r >= 1 the chain sites i < r-1 couple only to their neighbours, through
     x_{i+1} y_i; the active sites i >= r-1 carry the symmetric-form terms
-    and t x_0 y_i.
+    and t x_0 y_i.  Level 0 is the symmetric form: every site is active,
+    and with u = t/(1-t), S = sum(s_j) and Y = sum(y_j),
+    t H = sum(x^2 y^2/2 - b x y) + sum(y_i stail_i) + u S Y, where
+    stail_i = sum of s_j over j > i.  The u S Y term adds u Y to every
+    running y-sum and u S to every tail, so the active-site loop is the
+    same at every level, started at ya = u Y and tail = (1+u) S in place of
+    ya = 0 and tail = t x_0 + S, and level 0 has no t x_0 y_i coupling.
     """
-    if t == 0:
-        raise IntegrationError("the confluent system is singular at t = 0")
+    big, odd, r = c
+    if t == 0 or (t == 1 and not r):
+        raise IntegrationError(f"the level-{r} system is singular at t = {t}")
     scale = 1.0 / t
-    big, odd, k = c
+    k = r - 1                                 # chain sites (none at levels 0 and 1)
     m = len(big)
     x, y = v[:m], v[m:]
     fx, fy = [], []
@@ -218,17 +192,25 @@ def _degenerate_kernel(c, v, t):
         fx.append((xi * (xi * yi - bi) + x[i + 1]) * scale)
         fy.append(((bi - xi * yi) * yi - ylink) * scale)
         ylink = yi
-    s = [xi * (xi * yi + oi) for xi, yi, oi in zip(x[k:], y[k:], odd[k:])]
-    tail = t * x[0] + sum(s)                  # t x_0 + sum of s_j over j > i after the update
-    ya = 0j                                   # sum of y_j over the active sites j < i
-    for xi, yi, si, bi, oi in zip(x[k:], y[k:], s, big[k:], odd[k:]):
+    if k > 0:                                 # slicing only here keeps levels 0 and 1 copy-free
+        x, y, big, odd = x[k:], y[k:], big[k:], odd[k:]
+    s = [xi * (xi * yi + oi) for xi, yi, oi in zip(x, y, odd)]
+    if r:
+        tail = t * v[0] + sum(s)              # t x_0 + sum of s_j over j > i after the update
+        ya = 0j                               # sum of y_j over the active sites j < i
+    else:
+        u = t / (1.0 - t)
+        tail = (1.0 + u) * sum(s)
+        ya = u * sum(y)
+    for xi, yi, si, bi, oi in zip(x, y, s, big, odd):
         xy = xi * yi
         tail -= si
         fx.append((xi * xi * (yi + ya) - bi * xi + tail) * scale)
         fy.append(((bi - xy) * yi - (xy + xy + oi) * ya - ylink) * scale)
         ylink = 0j
         ya += yi
-    fy[0] -= t * ya * scale                   # x_0 enters every t x_0 y_i
+    if r:
+        fy[0] -= t * ya * scale               # x_0 enters every t x_0 y_i
     return fx + fy
 
 
@@ -582,22 +564,24 @@ def _kernel_rhs(kernel, constants):
 
 
 def symmetric_rhs(p: ParameterSet):
-    return _kernel_rhs(_symmetric_kernel, _window_weights(p))
+    return _kernel_rhs(_level_kernel, (*_window_weights(p), 0))
 
 
 def degenerate_rhs(p: ParameterSet):
-    return _kernel_rhs(_degenerate_kernel, _degenerate_constants(p))
+    if not p.degeneracy:
+        raise ValueError("degenerate_field needs a parameter set of level 1..n+1")
+    return _kernel_rhs(_level_kernel, (*_window_weights(p), p.degeneracy))
 
 
 def cp6_rhs(p: ParameterSet):
-    """The flat coupled field: the symmetric kernel in chart n.
+    """The flat coupled field: the level-0 (symmetric) kernel in chart n.
 
     The chart is q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t (i = 1..n), eta = -sum(x_i y_i).  The
     symmetric Hamiltonian is invariant under x -> lambda x, y -> y/lambda, so any x_n lifts (q, p);
     x_n = t gives x = (q, t), y = (p, -(sum q_i p_i + eta)/t).  With (fx, fy) the symmetric field
     there, dq_i/dt = fx_{i-1} + q_i (1 - fx_n)/t and dp_i/dt = fy_{i-1} - p_i (1 - fx_n)/t.
     """
-    return _kernel_rhs(_chart_kernel, (_window_weights(p), complex(p.eta)))
+    return _kernel_rhs(_chart_kernel, ((*_window_weights(p), 0), complex(p.eta)))
 
 
 def appendix_rhs(which: str, p: ParameterSet):

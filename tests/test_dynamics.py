@@ -72,6 +72,7 @@ def kernel_set(n, seed):
 
 RANKS = [1, 2, 3, 4, 8]
 LEVELS = [(n, r) for n in (1, 2, 3, 4) for r in range(1, n + 2)]
+CONFLUENCE_STEPS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (3, 4)]
 
 
 def rel_err(got, want):
@@ -118,10 +119,10 @@ class TestGradientOracles:
     def test_degenerate(self, n, r):
         p = sample_degenerate(n, r, seed=20 + n + r)
         rng = np.random.default_rng(300 + 10 * n + r)
-        for _ in range(8):
+        for i in range(9):
             x = rng.uniform(0.4, 1.5, n + 1).astype(complex)
             y = rng.uniform(-1.2, 1.2, n + 1).astype(complex)
-            t = rng.uniform(0.3, 1.8)
+            t = rng.uniform(0.3, 1.8) if i < 8 else 1.0     # t = 1 is regular at r >= 1
             dtx, dty = field_gradients(lambda a, b: degenerate_field(p, a, b, t), x, y, t)
             assert rel_err(dtx, stencil_grad(lambda v: t * hamiltonian_degenerate(p, v, y, t), x)) < 1e-12
             assert rel_err(dty, stencil_grad(lambda v: t * hamiltonian_degenerate(p, x, v, t), y)) < 1e-12
@@ -302,6 +303,8 @@ class TestCoordinateMaps:
 class TestConfluence:
     @staticmethod
     def field_error(p, r, eps, t, x, y):
+        """g(eps) - f: the level-(r-1) source field at eps, rescaled to level-r
+        coordinates, minus the level-r field f, as one flat vector."""
         src_params = degenerate_replace(p.with_degeneracy(r - 1), eps)
         x_old, y_old = x.copy(), y.copy()
         x_old[: r - 1] /= eps
@@ -315,17 +318,30 @@ class TestConfluence:
         gy = eps * fy
         gy[: r - 1] = fy[: r - 1]
         tx, ty = degenerate_field(p, x, y, t)
-        return np.linalg.norm(np.concatenate((gx - tx, gy - ty)))
+        return np.concatenate((gx - tx, gy - ty))
 
-    @pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
-                                     (3, 1), (3, 2), (3, 3), (3, 4)])
-    def test_field_limit_first_order(self, n, r):
+    @staticmethod
+    def limit_case(n, r):
         p = sample_degenerate(n, r, seed=80 + 7 * n + r)
-        rng = np.random.default_rng(85 + n + r)
-        x, y = constrained_state(p, rng)
-        e1 = self.field_error(p, r, 1e-3, 0.7, x, y)
-        e2 = self.field_error(p, r, 1e-4, 0.7, x, y)
+        return (p, *constrained_state(p, np.random.default_rng(85 + n + r)))
+
+    @pytest.mark.parametrize("n,r", CONFLUENCE_STEPS)
+    def test_field_limit_first_order(self, n, r):
+        p, x, y = self.limit_case(n, r)
+        e1 = np.linalg.norm(self.field_error(p, r, 1e-3, 0.7, x, y))
+        e2 = np.linalg.norm(self.field_error(p, r, 1e-4, 0.7, x, y))
         assert 0.8 <= np.log10(e1 / e2) <= 1.2
+
+    @pytest.mark.parametrize("n,r", CONFLUENCE_STEPS)
+    def test_field_limit_richardson(self, n, r):
+        # 2 g(eps/2) - g(eps) cancels the first-order term, leaving O(eps^2) and
+        # the rounding of the 1/eps entries; at r = 1 the source is level 0, so
+        # this holds the level-0 and level-1 ends of the one kernel together
+        p, x, y = self.limit_case(n, r)
+        eps = 1e-5
+        defect = 2 * self.field_error(p, r, eps / 2, 0.7, x, y) - self.field_error(p, r, eps, 0.7, x, y)
+        want = np.concatenate(degenerate_field(p, x, y, 0.7))
+        assert np.linalg.norm(defect) <= 1e-9 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n,r", [(1, 1), (2, 2), (3, 3)])
     def test_position_specialisation_confluent(self, n, r):
@@ -593,6 +609,8 @@ class TestFlatAdapters:
         for t in singular:
             with pytest.raises(IntegrationError):
                 rhs(t, v)
+        if 1.0 not in singular:                      # every confluent level is regular at t = 1
+            assert np.all(np.isfinite(rhs(1.0, v)))
 
     def test_linear_adapter_matches_coefficient_matrix(self):
         sys = build_fuchsian(sample_generic(2, seed=61))

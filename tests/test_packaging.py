@@ -95,3 +95,52 @@ def test_benchmark_reaches_only_existing_names():
                 missing.append(f"{path.name}:{line}: cpvi.{module}.{name}")
     assert seen, "no cpvi reference found in perfbench/"
     assert not missing, missing
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants of a parsed module."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _loaded_names(tree):
+    """Every bare name and attribute a parsed module reads (Load context only)."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def test_private_name_scanner_finds_orphans():
+    tree = ast.parse(
+        "_USED, _ORPHAN = 1, 2\n"
+        "_TABLE: dict = {}\n"
+        "def _helper():\n"
+        "    return _USED + m._TABLE\n"
+        "def _dead():\n"
+        "    _helper()\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "__all__ = []\n")
+    defined = _private_definitions(tree)
+    assert sorted(defined) == ["_Gone", "_ORPHAN", "_TABLE", "_USED", "_dead", "_helper"]
+    assert sorted(set(defined) - _loaded_names(tree)) == ["_Gone", "_ORPHAN", "_dead"]
+
+
+def test_no_unreferenced_private_names():
+    """Every module-level private function, class and constant in src/cpvi is read
+    somewhere in src/cpvi, so a deletion leaves no orphaned helper behind."""
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "cpvi").glob("*.py"))}
+    loaded = set().union(*map(_loaded_names, trees.values()))
+    defined = [(module, name) for module, tree in trees.items()
+               for name in _private_definitions(tree)]
+    assert defined, "no private module-level name found in src/cpvi"
+    orphans = [f"{module}: {name}" for module, name in defined if name not in loaded]
+    assert not orphans, orphans

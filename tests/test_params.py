@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from cpvi.params import (
     SamplingError,
     degenerate_replace,
     genericity_margin,
+    integer_windows,
     partial_sum,
     sample_degenerate,
     sample_generic,
@@ -51,6 +54,33 @@ class TestPartialSum:
 
     def test_windows_longer_than_period_pick_up_full_sums(self):
         assert abs(partial_sum(P1, 3, 3 + 4) - (partial_sum(P1, 3, 3) + 1.0)) < 1e-14
+
+
+class TestIntegerWindows:
+    @staticmethod
+    def assert_windows_exact(p):
+        """window(k, l) / d is partial_sum(k, l) exactly, for starts over three periods and
+        lengths from empty to three periods."""
+        d, window = integer_windows(p)
+        m = 2 * p.n + 2
+        for k in range(-m, 2 * m):
+            for l in range(-2, 3 * m):
+                assert Fraction(window(k, l), d) == p.partial_sum(k, l), (k, l)
+        return d
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_rational_sets(self, n):
+        assert self.assert_windows_exact(sample_rational_generic(n, seed=n)) == 97
+
+    def test_mixed_denominators(self):
+        alpha = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 97), Fraction(2, 3), Fraction(3, 7))
+        alpha += (1 - sum(alpha),)
+        p = ParameterSet(2, alpha, Fraction(0), 0)
+        assert self.assert_windows_exact(p) == 3 * 7 * 97
+
+    def test_float_set_has_no_integer_windows(self):
+        assert integer_windows(P1) is None
+        assert integer_windows(sample_generic(2, seed=3)) is None
 
 
 class TestInvariants:
