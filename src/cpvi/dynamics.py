@@ -545,7 +545,10 @@ def integrate(field, state0, t0, t1, rtol=1e-10, atol=1e-12, dense_ts=None) -> T
             rejected += 1
         # an accepted step shortened below h says nothing about h itself
         if not (accepted and h_step < h):
-            factor = _SAFETY * err ** -0.2 if err > 0 else _MAX_FACTOR
+            if math.isfinite(err):
+                factor = _SAFETY * err ** -0.2 if err > 0 else _MAX_FACTOR
+            else:       # a stage overflowed: the estimate says only that h is too long
+                factor = _MIN_FACTOR
             h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
 
     return Trajectory(dense, out_states, steps, rejected)

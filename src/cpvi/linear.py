@@ -7,9 +7,13 @@ Fuchsian system
     dx/dt = (A0 / t + A1 / (1 - t)) x
 
 with A0 upper triangular and A1 of rank one; the confluent levels replace
-A1 / (1 - t) by a constant 0/1 matrix.  This module builds those residue
-matrices, the dual (momentum-side) system, the cyclic gauge transforms,
-and the three independent routes to the series solutions at t = 0:
+A1 / (1 - t) by a constant 0/1 matrix.  One residue-matrix rule builds the
+pair at every level r = 0..n+1 (:func:`_residue_matrices`), from window
+sums in either arithmetic: complex or Fraction entries, or the integer
+windows of the exact recurrence.  The dual (momentum-side) system is the
+adjoint -A^T of the level-0 pair except for its row n.  This module also
+builds the cyclic gauge transforms and the three independent routes to
+the series solutions at t = 0:
 
 * the matrix two-term recurrence, solved exactly by back substitution on
   the triangular structure;
@@ -62,58 +66,39 @@ _PIVOT_FLOOR = 1e-300
 # residue matrices
 
 
-def _zeros(n, like):
-    z = like * 0
-    return [[z for _ in range(n + 1)] for _ in range(n + 1)]
+def _residue_matrices(n: int, r: int, window):
+    """Nested-list residue matrices (A0, A1) of the level-r system, r = 0..n+1.
 
-
-def _fuchsian_matrices(p: ParameterSet):
-    """Nested-list (type-preserving) residue matrices."""
-    n = p.n
-    A0 = _zeros(n, p.alpha[0])
-    A1 = _zeros(n, p.alpha[0])
+    ``window(k, l)`` is the window sum alpha_k + ... + alpha_{k+l}: the
+    type-preserving :meth:`ParameterSet.partial_sum`, or d times it in
+    integers (:func:`params.integer_windows`).  A0 has -window(2i+2,
+    2n-2i-1) on its diagonal; a chain row i < r-1 has a 1 right of the
+    diagonal, and every other row holds alpha_{2j+1} in each column j > i.
+    At level 0 every row of A1 is (alpha_{2j+1})_j; at r >= 1 the confluent
+    A1 has a 1 in column 0 of each row i >= r-1.
+    """
+    zero = window(0, -1)      # the empty window: 0 in the window's arithmetic
+    one = zero + 1
+    odd = [window(2 * j + 1, 0) for j in range(n + 1)]
+    A0 = [[zero] * (n + 1) for _ in range(n + 1)]
     for i in range(n):
-        A0[i][i] = -p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1)
-        for j in range(i + 1, n + 1):
-            A0[i][j] = p.alpha_at(2 * j + 1)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            A1[i][j] = p.alpha_at(2 * j + 1)
-    return A0, A1
+        A0[i][i] = -window(2 * i + 2, 2 * n - 2 * i - 1)
+        if i < r - 1:
+            A0[i][i + 1] = one
+        else:
+            A0[i][i + 1:] = odd[i + 1:]
+    if r == 0:
+        return A0, [odd[:] for _ in range(n + 1)]
+    return A0, [[one if i >= r - 1 and j == 0 else zero for j in range(n + 1)]
+                for i in range(n + 1)]
 
 
 def _dual_matrices(p: ParameterSet):
+    """The level-0 pair's adjoint -A^T, except that every entry of row n is
+    alpha_{2n+1}."""
     n = p.n
-    A0 = _zeros(n, p.alpha[0])
-    A1 = _zeros(n, p.alpha[0])
-    for i in range(n):
-        A0[i][i] = p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1)
-        for j in range(i):
-            A0[i][j] = -p.alpha_at(2 * i + 1)
-    for j in range(n + 1):
-        A0[n][j] = A0[n][j] + p.alpha_at(2 * n + 1)
-    for i in range(n):
-        for j in range(n + 1):
-            A1[i][j] = -p.alpha_at(2 * i + 1)
-    for j in range(n + 1):
-        A1[n][j] = p.alpha_at(2 * n + 1)
-    return A0, A1
-
-
-def _confluent_matrices(p: ParameterSet):
-    n, r = p.n, p.degeneracy
-    A0 = _zeros(n, p.alpha[0])
-    A1 = _zeros(n, p.alpha[0])
-    for i in range(n):
-        A0[i][i] = -p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1)
-    for i in range(r - 1):
-        A0[i][i + 1] = A0[i][i + 1] + 1
-    for i in range(r - 1, n):
-        for j in range(i + 1, n + 1):
-            A0[i][j] = A0[i][j] + p.alpha_at(2 * j + 1)
-    for i in range(r - 1, n + 1):
-        A1[i][0] = A1[i][0] + 1
-    return A0, A1
+    return tuple([[-a for a in col] for col in zip(*A)][:n] + [[p.alpha_at(2 * n + 1)] * (n + 1)]
+                 for A in _residue_matrices(n, 0, p.partial_sum))
 
 
 def _as_array(rows):
@@ -163,7 +148,7 @@ class LinearSystem:
 
 def build_fuchsian(p: ParameterSet) -> LinearSystem:
     """Position-side Fuchsian system of the generic specialisation."""
-    A0, A1 = _fuchsian_matrices(p)
+    A0, A1 = _residue_matrices(p.n, 0, p.partial_sum)
     return LinearSystem(p.n, _as_array(A0), _as_array(A1), "fuchsian", p, gauge=p.n)
 
 
@@ -177,7 +162,7 @@ def build_confluent(p: ParameterSet) -> LinearSystem:
     """Confluent system at the parameter set's own level."""
     if not 1 <= p.degeneracy <= p.n + 1:
         raise ValueError("confluent system needs a parameter set of level 1..n+1")
-    A0, A1 = _confluent_matrices(p)
+    A0, A1 = _residue_matrices(p.n, p.degeneracy, p.partial_sum)
     return LinearSystem(p.n, _as_array(A0), _as_array(A1), "confluent", p, gauge=p.n)
 
 
@@ -198,7 +183,7 @@ def gauge_transform(sys: LinearSystem, k: int) -> LinearSystem:
         raise ValueError("gauge transform applies to the position-side Fuchsian system")
     if not 0 <= k <= sys.n:
         raise ValueError(f"branch index {k} out of range 0..{sys.n}")
-    A0, A1 = _fuchsian_matrices(sys.params.shifted(2 * k + 2))
+    A0, A1 = _residue_matrices(sys.n, 0, sys.params.shifted(2 * k + 2).partial_sum)
     return LinearSystem(sys.n, _as_array(A0), _as_array(A1), "fuchsian", sys.params, gauge=k)
 
 
@@ -279,24 +264,14 @@ def _fraction_free_solve(rows, rhs, pivot_shift, last=None):
     return v, den
 
 
-def _integer_recurrence_vectors(n: int, k: int, depth: int, d: int, window):
-    """:func:`recurrence_vectors` of a Fraction set in integers.
-
-    The matrices of :func:`_fuchsian_matrices` for ``p.shifted(2k+2)``,
-    times d, are integer matrices built from the integer windows; x_i is
-    kept as an integer vector over one denominator, reduced by one gcd per
-    step, and each entry becomes a Fraction at the end.
+def _integer_recurrence_vectors(A0, step, depth: int, d: int):
+    """:func:`recurrence_vectors` of a Fraction set in integers, from d A0
+    and the step matrix d (A0 - A1): x_i is kept as an integer vector over
+    one denominator, reduced by one gcd per step, and each entry becomes a
+    Fraction at the end.
     """
-    s = 2 * k + 2
-    odd = [window(2 * j + 1 + s, 0) for j in range(n + 1)]  # every row of d A1
-    A0 = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        A0[i][i] = -window(2 * i + 2 + s, 2 * n - 2 * i - 1)
-        A0[i][i + 1:] = odd[i + 1:]
-    # d A0 - d A1 is -d A1 below the diagonal and 0 above it
-    step = [[A0[row][row] - odd[row] if col == row else -odd[col] if col < row else 0
-             for col in range(n + 1)] for row in range(n + 1)]
-    x, den = _fraction_free_solve(A0, [0] * (n + 1), 0, last=1)
+    m = len(A0)
+    x, den = _fraction_free_solve(A0, [0] * m, 0, last=1)
     vecs = [(x, den)]
     for i in range(depth):
         shift = -d * i
@@ -315,19 +290,26 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     """Gauge-frame coefficient vectors from the matrix recurrence.
 
     Solves A0 x_0 = 0 and (A0 - (i+1) I) x_{i+1} = (A0 - A1 - i I) x_i by
-    exact back substitution.  A Fraction set yields exact rational vectors,
-    computed in integers: fraction-free back substitution on d A0 - d(i+1) I
-    with right-hand side (d A0 - d A1 - d i I) x_i, d the lcm of the
-    denominators.
+    exact back substitution, with the level-0 residue matrices of
+    ``p.shifted(2k+2)``.  A Fraction set yields exact rational vectors,
+    computed in integers: the same matrices are built from the integer
+    windows, so they are d A0 and d A1 with d the lcm of the denominators,
+    and fraction-free back substitution runs on d A0 - d(i+1) I with
+    right-hand side (d A0 - d A1 - d i I) x_i.
     """
-    n = p.n
+    n, s = p.n, 2 * k + 2
     exact = integer_windows(p)
-    if exact is not None:
-        return _integer_recurrence_vectors(n, k, depth, *exact)
-    A0, A1 = _fuchsian_matrices(p.shifted(2 * k + 2))
+    if exact is None:
+        window = p.shifted(s).partial_sum
+    else:
+        d, integer_window = exact
+        window = lambda first, length: integer_window(first + s, length)
+    A0, A1 = _residue_matrices(n, 0, window)
     # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
     step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
              for col in range(n + 1)] for row in range(n + 1)]
+    if exact is not None:
+        return _integer_recurrence_vectors(A0, step, depth, d)
     zero = p.alpha[0] * 0
     vecs = [_upper_solve(A0, [zero] * (n + 1), 0, last=zero + 1)]
     for i in range(depth):
@@ -342,31 +324,40 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     return vecs
 
 
+def _closed_form_components(heads, tail, prev, one):
+    """Components m = 0..n of one closed-form vector, or of its integer
+    numerators or denominators: the prefix product of the first n-m head
+    ratios times tail ratio 0 and the first m tail ratios j >= 1, which are
+    ``prev``, the head ratios of the step before, in reverse order."""
+    head_prefix = list(accumulate(heads, mul, initial=one))
+    # both products start from one; one * tail can differ from tail in a sign of zero
+    tail_prefix = accumulate(reversed(prev), mul, initial=one * tail)
+    return [h * t for h, t in zip(reversed(head_prefix), tail_prefix)]
+
+
 def _integer_closed_form_vectors(n: int, k: int, depth: int, d: int, window):
-    """:func:`closed_form_vectors` of a Fraction set in integers: u, v, s
-    and r hold d times the window sums, and each running ratio is kept as
+    """:func:`closed_form_vectors` of a Fraction set in integers: u, v, s_0
+    and r_0 hold d times the window sums, and each running ratio is kept as
     an integer numerator and denominator."""
     u = [window(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
     v = [window(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
-    s = [window(2 * k + 2 * j + 3, 2 * n - 2 * j) for j in range(n + 1)]
-    r = [window(2 * k + 2 * j + 2, 2 * n - 2 * j + 1) for j in range(n + 1)]
+    s0, r0 = window(2 * k + 3, 2 * n), window(2 * k + 2, 2 * n + 1)
     head_num, head_den = [1] * n, [1] * n
-    tail_num, tail_den = [1] * (n + 1), [1] * (n + 1)
+    tail_num = tail_den = 1
     vecs = []
     for i in range(depth + 1):
+        prev_num, prev_den = head_num[:], head_den[:]
         for j in range(n):
             den = v[j] + d * i
             _require_nonzero(den, "head window rising factorial")
             head_num[j] *= u[j] + d * i
             head_den[j] *= den
         if i:
-            for j in range(n + 1):
-                tail_num[j] *= s[j] + d * (i - 1)
-                tail_den[j] *= r[j] + d * (i - 1)
-        nums = list(accumulate(head_num, mul, initial=1))
-        dens = list(accumulate(head_den, mul, initial=1))
-        vecs.append([Fraction(nums[n - m] * a, dens[n - m] * b) for m, (a, b) in
-                     enumerate(zip(accumulate(tail_num, mul), accumulate(tail_den, mul)))])
+            tail_num *= s0 + d * (i - 1)
+            tail_den *= r0 + d * (i - 1)
+        vecs.append([Fraction(a, b) for a, b in
+                     zip(_closed_form_components(head_num, tail_num, prev_num, 1),
+                         _closed_form_components(head_den, tail_den, prev_den, 1))])
     return vecs
 
 
@@ -384,13 +375,16 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
     whose rising factorial is the hypergeometric factorial.
 
     The ratios are carried as running products (the hypergeometric term
-    ratio): one per head window, (u_j)_{i+1} / (v_j)_{i+1}, and one per
-    tail window, (s_j)_i / (r_j)_i, each advanced by a single factor per
-    depth step.  Component m is then the prefix product of the first n-m
-    head ratios times that of the first m+1 tail ratios, so the cost is
-    O(depth * n) products instead of rebuilding every rising factorial.
-    Each head denominator factor is checked for resonance, which covers
-    the tail factors too.  A Fraction set yields exact rational vectors,
+    ratio), each advanced by a single factor per depth step: one per head
+    window, (u_j)_{i+1} / (v_j)_{i+1}, and one for tail window 0,
+    (s_0)_i / (r_0)_i.  Tail window j >= 1 is head window n-j, the same
+    cyclic window started one period later, so tail ratio j at step i is
+    head ratio n-j at step i-1 and is copied from there.  Component m is
+    then the prefix product of the first n-m head ratios times that of the
+    first m+1 tail ratios, so the cost is O(depth * n) products instead of
+    rebuilding every rising factorial.  Each head denominator factor is
+    checked for resonance, which covers the tail factors j >= 1 too, and
+    r_0 + i is never 0.  A Fraction set yields exact rational vectors,
     computed in integers: each running ratio is an integer numerator and
     denominator, advanced by the factors d u_j + d i and d v_j + d i, d
     the lcm of the denominators.
@@ -402,30 +396,19 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
     one = p.alpha[0] * 0 + 1
     heads_num = [p.partial_sum(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
     heads_den = [p.partial_sum(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
-    tails_num = [p.partial_sum(2 * k + 2 * j + 3, 2 * n - 2 * j) for j in range(n + 1)]
-    tails_den = [p.partial_sum(2 * k + 2 * j + 2, 2 * n - 2 * j + 1) for j in range(n + 1)]
+    tail_num, tail_den = p.partial_sum(2 * k + 3, 2 * n), p.partial_sum(2 * k + 2, 2 * n + 1)
     heads = [one] * n
-    tails = [one] * (n + 1)
+    tail = one
     vecs = []
     for i in range(depth + 1):
+        prev = heads[:]
         for j in range(n):
             den = heads_den[j] + i
             _require_nonzero(den, "head window rising factorial")
             heads[j] = heads[j] * (heads_num[j] + i) / den
         if i:
-            # tail window j is head window n-j, whose factor was checked one
-            # step earlier; r_0 is the full-period sum 1
-            for j in range(n + 1):
-                tails[j] = tails[j] * (tails_num[j] + (i - 1)) / (tails_den[j] + (i - 1))
-        head_prefix = [one]
-        for h in heads:
-            head_prefix.append(head_prefix[-1] * h)
-        vec = []
-        tail_prefix = one
-        for m in range(n + 1):
-            tail_prefix = tail_prefix * tails[m]
-            vec.append(head_prefix[n - m] * tail_prefix)
-        vecs.append(vec)
+            tail = tail * (tail_num + (i - 1)) / (tail_den + (i - 1))
+        vecs.append(_closed_form_components(heads, tail, prev, one))
     return vecs
 
 

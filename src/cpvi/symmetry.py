@@ -218,6 +218,6 @@ def verify_relations(n: int, trials: int, seed: int):
             worst[kind] = max(worst[kind], dev)
         # alpha total is preserved by single generators (zero row sums)
         for i in range(2 * n + 2):
-            _, _, p2 = apply_generator(i, x, y, p, t)
+            p2 = _transform_params(p, i)
             worst["alpha_total"] = max(worst["alpha_total"], abs(sum(p2.alpha) - total0))
     return worst

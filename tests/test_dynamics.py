@@ -183,7 +183,7 @@ class TestCoupledField:
 
 
 class TestSymmetricField:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_position_specialisation_is_linear_system(self, n):
         p = sample_generic(n, seed=40 + n).with_eta(0.0)
         sys = build_fuchsian(p)
@@ -195,7 +195,7 @@ class TestSymmetricField:
             assert np.max(np.abs(dx - sys.coefficient(t) @ x)) < 1e-13
             assert np.max(np.abs(dy)) < 1e-13
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_momentum_specialisation_is_dual_system(self, n):
         p0 = sample_generic(n, seed=50 + n)
         p = p0.with_eta(complex(p0.alpha[2 * n + 1]))
@@ -343,7 +343,7 @@ class TestConfluence:
         want = np.concatenate(degenerate_field(p, x, y, 0.7))
         assert np.linalg.norm(defect) <= 1e-9 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("n,r", [(1, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("n,r", LEVELS)     # chain rows r < n and the all-chain level n+1
     def test_position_specialisation_confluent(self, n, r):
         p = sample_degenerate(n, r, seed=70 + n).with_eta(0.0)
         sys = build_confluent(p)
@@ -563,6 +563,20 @@ class TestIntegrator:
     def test_movable_pole_reported_with_location(self):
         with pytest.raises(IntegrationError, match="t = "):
             integrate(lambda t, y: y * y, np.array([1.0 + 0j]), 0.0, 2.0)
+
+    def test_non_finite_error_estimate_shrinks_the_step(self):
+        # past |y| = 1e6 the stages turn NaN; the step must shrink onto the pole
+        # at t = 1, not be retried at five times its length until the budget ends
+        calls = []
+
+        def square(t, y):
+            calls.append(t)
+            assert len(calls) <= 10_000, "NaN error estimate did not shrink the step"
+            return y * y if abs(y[0]) < 1e6 else np.full_like(y, np.nan)
+
+        with np.errstate(invalid="ignore"), pytest.raises(IntegrationError) as info:
+            integrate(square, np.array([1.0 + 0j]), 0.0, 2.0)
+        assert "budget" not in str(info.value)
 
     def test_constraint_drift_along_flow(self):
         p = sample_generic(2, seed=17)

@@ -11,7 +11,7 @@ from cpvi.linear import (
     ResonanceError,
     SeriesSolution,
     _branch_windows,
-    _fuchsian_matrices,
+    _residue_matrices,
     branch_exponent,
     branch_spec,
     build_confluent,
@@ -381,7 +381,7 @@ class TestExactOracles:
     def test_recurrence_solves_its_equations(self, p):
         n = p.n
         for k in range(n + 1):
-            A0, A1 = _fuchsian_matrices(p.shifted(2 * k + 2))
+            A0, A1 = _residue_matrices(n, 0, p.shifted(2 * k + 2).partial_sum)
             full = recurrence_vectors(p, k, 10)
             assert all(type(x) is Fraction for vec in full for x in vec)
             assert full[0][-1] == 1

@@ -97,8 +97,8 @@ def test_benchmark_reaches_only_existing_names():
     assert not missing, missing
 
 
-def _private_definitions(tree):
-    """Module-level private functions, classes and constants of a parsed module."""
+def _module_definitions(tree):
+    """Module-level functions, classes and constants of a parsed module."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -106,7 +106,18 @@ def _private_definitions(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants of a parsed module."""
+    return [name for name in _module_definitions(tree)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def _public_definitions(tree):
+    """Module-level public functions, classes and constants of a parsed module."""
+    return [name for name in _module_definitions(tree) if not name.startswith("_")]
 
 
 def _loaded_names(tree):
@@ -142,5 +153,35 @@ def test_no_unreferenced_private_names():
     defined = [(module, name) for module, tree in trees.items()
                for name in _private_definitions(tree)]
     assert defined, "no private module-level name found in src/cpvi"
+    orphans = [f"{module}: {name}" for module, name in defined if name not in loaded]
+    assert not orphans, orphans
+
+
+def test_public_name_scanner_finds_orphans():
+    tree = ast.parse(
+        "LIMIT, ORPHAN = 1, 2\n"
+        "_hidden = 3\n"
+        "def solve():\n"
+        "    return LIMIT\n"
+        "def unused():\n"
+        "    pass\n"
+        "class Report:\n"
+        "    pass\n"
+        "print(solve(), m.Report)\n"
+        "__all__ = []\n")
+    defined = _public_definitions(tree)
+    assert sorted(defined) == ["LIMIT", "ORPHAN", "Report", "solve", "unused"]
+    assert sorted(set(defined) - _loaded_names(tree)) == ["ORPHAN", "unused"]
+
+
+def test_no_unreferenced_public_names():
+    """Every module-level public function, class and constant in src/cpvi is read
+    somewhere in src, tests or perfbench, so a deletion leaves no orphaned public name behind."""
+    sources = [path for top in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / top).rglob("*.py"))]
+    loaded = set().union(*(_loaded_names(ast.parse(path.read_text())) for path in sources))
+    defined = [(path.name, name) for path in sorted((ROOT / "src" / "cpvi").glob("*.py"))
+               for name in _public_definitions(ast.parse(path.read_text()))]
+    assert defined, "no public module-level name found in src/cpvi"
     orphans = [f"{module}: {name}" for module, name in defined if name not in loaded]
     assert not orphans, orphans
