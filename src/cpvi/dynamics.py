@@ -4,8 +4,9 @@ Three families of flows live here:
 
 * the symmetric form in (x_0..x_n, y_0..y_n) constrained to
   sum(x_i y_i) + eta = 0, and its confluent levels, whose Hamiltonians
-  carry a single 1/t pole: one kernel for every level r = 0..n+1, the
-  symmetric form being level 0 (see :func:`_level_kernel`);
+  carry a single 1/t pole: one Hamiltonian (:func:`hamiltonian_level`)
+  and one kernel (:func:`_level_kernel`) for every level r = 0..n+1, the
+  symmetric form being level 0;
 * the rank-n coupled Painleve VI system in canonical variables
   (q_1..q_n, p_1..p_n), with time scaled by t(t-1): the level-0 kernel
   in chart n, q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t, eta = -sum(x_i y_i)
@@ -17,16 +18,20 @@ Three families of flows live here:
   Hamiltonians.
 
 A kernel is the field: a hand-written polynomial gradient of the
-Hamiltonian, divided by the time factor, as a scalar loop over Python
-complex numbers.  It raises IntegrationError at its own singular times,
-reads the flat state as one list and returns the flat field as one list.
-The states have length at most 2n+2, and at that size numpy's fixed cost
-per array operation (about a microsecond) would dominate a field call.
-The rhs closure of a family builds the kernel's parameter constants once;
-the public field function builds that closure on every call and splits
-its flat result.  The tests read each gradient off the field and hold it
-to its Hamiltonian exactly, with a unit-step five-point stencil that has
-no truncation error at these degrees.
+Hamiltonian, divided by the time factor, as a scalar loop.  It raises
+IntegrationError at its own singular times, reads the flat state as one
+list and returns the flat field as one list.  The states have length at
+most 2n+2, and at that size numpy's fixed cost per array operation (about
+a microsecond) would dominate a field call.  Kernels and Hamiltonians are
+type-generic: they cast nothing and their only literals are the ints 0, 1
+and 2, so they compute in the arithmetic of their inputs, Python complex
+numbers in production and ``Fraction``s in the exact certificates of the
+tests.  The rhs closure of a family builds the kernel's parameter
+constants once; the public field function builds that closure on every
+call and splits its flat result.  The tests read each gradient off the
+field and hold it to its Hamiltonian with a unit-step five-point stencil,
+which has no truncation error at these degrees: in floats at 1e-12, and
+at random rational points with ``==``.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with complex
 state support; its stage states, fifth-order solution and error estimate
@@ -77,11 +82,9 @@ def hamiltonian_cp6(p: ParameterSet, q, pm, t):
     + alpha_{2i+2} + ... + alpha_{2n}, K = k0 + k1 + kt - 1, c0 = k0 + kt - 1, c1 = k0 + k1.
     Each pair i < j adds (q_i - 1)(q_j - t)((q_i p_i + a_i) p_j + p_i (q_j p_j + a_j)).
     """
-    q, pm = _cvec(q).tolist(), _cvec(pm).tolist()
-    eta = complex(p.eta)
-    even = [complex(v) for v in p.alpha[0::2]]
-    odd = [complex(v) for v in p.alpha[1::2]]
-    total = 0j
+    q, pm, eta = list(q), list(pm), p.eta
+    even, odd = p.alpha[0::2], p.alpha[1::2]
+    total = 0
     for i, (qi, pi) in enumerate(zip(q, pm)):
         k0 = sum(odd) - odd[i] - eta
         k1 = sum(even[:i + 1])
@@ -106,7 +109,7 @@ def _chart_kernel(c, v, t):
     q, pm = v[:n], v[n:]
     y_last = -(sum([qi * pi for qi, pi in zip(q, pm)]) + eta) / t
     f = _level_kernel(weights, q + [t] + pm + [y_last], t)
-    drift = (1.0 - f[n]) / t                  # each zip below stops before fx_n and fy_n
+    drift = (1 - f[n]) / t                    # each zip below stops before fx_n and fy_n
     return ([fx + qi * drift for qi, fx in zip(q, f)]
             + [fy - pi * drift for pi, fy in zip(pm, f[n + 1:])])
 
@@ -130,38 +133,33 @@ def riccati_rhs(p: ParameterSet, q, t):
 def _window_weights(p: ParameterSet):
     """Lists (big, odd) of the window sums alpha_{2i+2} + ... + alpha_{2n+1} and alpha_{2i+1}."""
     n = p.n
-    big = [complex(p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1)) for i in range(n + 1)]
-    odd = [complex(p.alpha[2 * i + 1]) for i in range(n + 1)]
+    big = [p.partial_sum(2 * i + 2, 2 * n - 2 * i - 1) for i in range(n + 1)]
+    odd = [p.alpha[2 * i + 1] for i in range(n + 1)]
     return big, odd
 
 
-def hamiltonian_symmetric(p: ParameterSet, x, y, t):
-    x = _cvec(x)
-    y = _cvec(y)
-    big, odd = (np.array(c) for c in _window_weights(p))
-    s = x * (x * y + odd)                     # s_i = x_i (x_i y_i + alpha_{2i+1})
-    ybelow = np.concatenate(([0.0], np.cumsum(y)[:-1]))
-    part_t = np.sum(0.5 * x * x * y * y - big * x * y + s * ybelow)
-    part_1 = np.sum(s) * np.sum(y)
-    return part_t / t + part_1 / (1.0 - t)
+def hamiltonian_level(p: ParameterSet, x, y, t):
+    """H of the level-r system, r = p.degeneracy (the value of H, not t H).
+
+    t H = sum x_i y_i (x_i y_i - 2 b_i)/2 + sum_{i<r-1} x_{i+1} y_i
+          + sum_{i>=max(r-1,0)} y_i (t x_0 [r >= 1] + sum_{j>i} s_j) + [r = 0] t/(1-t) S Y,
+    with b_i, alpha_{2i+1} from :func:`_window_weights`, s_j = x_j (x_j y_j + alpha_{2j+1}),
+    S = sum s_j and Y = sum y_j.  This is the reference :func:`_level_kernel` is held to.
+    """
+    big, odd = _window_weights(p)
+    r = p.degeneracy
+    s = [xi * (xi * yi + oi) for xi, yi, oi in zip(x, y, odd)]
+    th = sum(xi * yi * (xi * yi - 2 * bi) for xi, yi, bi in zip(x, y, big)) / 2
+    th += sum(x[i + 1] * y[i] for i in range(r - 1))
+    lead = t * x[0] if r else 0
+    th += sum(y[i] * (lead + sum(s[i + 1:])) for i in range(max(r - 1, 0), len(x)))
+    if not r:
+        th += t / (1 - t) * sum(s) * sum(y)
+    return th / t
 
 
 def symmetric_field(p: ParameterSet, x, y, t):
     return _split_field(symmetric_rhs(p), x, y, t)
-
-
-def hamiltonian_degenerate(p: ParameterSet, x, y, t):
-    """Level-r confluent Hamiltonian (the value of H, not t H)."""
-    x = _cvec(x)
-    y = _cvec(y)
-    r = p.degeneracy
-    big, odd = (np.array(c) for c in _window_weights(p))
-    s = x * (x * y + odd)
-    stail = np.concatenate((np.cumsum(s[::-1])[::-1][1:], [0.0]))
-    th = np.sum(0.5 * x * y * (x * y - 2 * big))
-    th += np.sum(x[1:r] * y[: r - 1])
-    th += np.sum((t * x[0] + stail[r - 1:]) * y[r - 1:])
-    return th / t
 
 
 def _level_kernel(c, v, t):
@@ -181,12 +179,12 @@ def _level_kernel(c, v, t):
     big, odd, r = c
     if t == 0 or (t == 1 and not r):
         raise IntegrationError(f"the level-{r} system is singular at t = {t}")
-    scale = 1.0 / t
+    scale = 1 / t
     k = r - 1                                 # chain sites (none at levels 0 and 1)
     m = len(big)
     x, y = v[:m], v[m:]
     fx, fy = [], []
-    ylink = 0j                                # y_{i-1} at the chain sites and at i = r-1
+    ylink = 0                                 # y_{i-1} at the chain sites and at i = r-1
     for i in range(k):
         xi, yi, bi = x[i], y[i], big[i]
         fx.append((xi * (xi * yi - bi) + x[i + 1]) * scale)
@@ -197,17 +195,17 @@ def _level_kernel(c, v, t):
     s = [xi * (xi * yi + oi) for xi, yi, oi in zip(x, y, odd)]
     if r:
         tail = t * v[0] + sum(s)              # t x_0 + sum of s_j over j > i after the update
-        ya = 0j                               # sum of y_j over the active sites j < i
+        ya = 0                                # sum of y_j over the active sites j < i
     else:
-        u = t / (1.0 - t)
-        tail = (1.0 + u) * sum(s)
+        u = t / (1 - t)
+        tail = (1 + u) * sum(s)
         ya = u * sum(y)
     for xi, yi, si, bi, oi in zip(x, y, s, big, odd):
         xy = xi * yi
         tail -= si
         fx.append((xi * xi * (yi + ya) - bi * xi + tail) * scale)
         fy.append(((bi - xy) * yi - (xy + xy + oi) * ya - ylink) * scale)
-        ylink = 0j
+        ylink = 0
         ya += yi
     if r:
         fy[0] -= t * ya * scale               # x_0 enters every t x_0 y_i
@@ -257,11 +255,8 @@ def canonical_to_symmetric(p: ParameterSet, q, pm, eta, x_last, t):
 
 def log_derivative_target(p: ParameterSet, q, pm, eta, t):
     """The combination t(1-t) d/dt log x_n equals along symmetric flows."""
-    q = np.asarray(q, dtype=complex)
-    pm = np.asarray(pm, dtype=complex)
-    odd = np.array([complex(p.alpha[2 * i - 1]) for i in range(1, p.n + 1)])
-    return (np.sum((q - 1) * (q - t) * pm + odd * q)
-            + t * complex(p.alpha[2 * p.n + 1]) - (t + 1) * eta)
+    return (sum((qi - 1) * (qi - t) * pi + oi * qi for qi, pi, oi in zip(q, pm, p.alpha[1::2]))
+            + t * p.alpha[2 * p.n + 1] - (t + 1) * eta)
 
 
 # ----------------------------------------------------------------------
@@ -584,7 +579,7 @@ def cp6_rhs(p: ParameterSet):
     x_n = t gives x = (q, t), y = (p, -(sum q_i p_i + eta)/t).  With (fx, fy) the symmetric field
     there, dq_i/dt = fx_{i-1} + q_i (1 - fx_n)/t and dp_i/dt = fy_{i-1} - p_i (1 - fx_n)/t.
     """
-    return _kernel_rhs(_chart_kernel, ((*_window_weights(p), 0), complex(p.eta)))
+    return _kernel_rhs(_chart_kernel, ((*_window_weights(p), 0), p.eta))
 
 
 def appendix_rhs(which: str, p: ParameterSet):

@@ -188,16 +188,19 @@ def genericity_margin(p: ParameterSet) -> float:
     a confluent set the odd total is structurally fixed, so it is not a
     free condition and is skipped.
     """
+    return min(_window_distances(p))
+
+
+def _window_distances(p: ParameterSet):
+    """The distances of :func:`genericity_margin`, one at a time, so a
+    margin test can stop at the first that fails."""
     n = p.n
-    dists = []
     for i in range(1, n + 1):
         for j in range(1, n - i + 2):
-            dists.append(_dist_to_int(p.partial_sum(2 * i, 2 * j - 1)))
-            dists.append(_dist_to_int(p.partial_sum(2 * i - 1, 2 * j - 1)))
+            yield _dist_to_int(p.partial_sum(2 * i, 2 * j - 1))
+            yield _dist_to_int(p.partial_sum(2 * i - 1, 2 * j - 1))
     if p.degeneracy == 0:
-        odd_total = sum(p.alpha[1::2], p.alpha[0] * 0)
-        dists.append(_dist_to_int(odd_total))
-    return min(dists)
+        yield _dist_to_int(sum(p.alpha[1::2], p.alpha[0] * 0))
 
 
 def sample_generic(n: int, seed: int, margin: float = 0.05,
@@ -233,10 +236,10 @@ def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
         alpha[free] = draw
         eta = rng.uniform(-0.75, 0.75)
         p = ParameterSet(n, tuple(complex(a) for a in alpha), complex(eta), r)
-        if genericity_margin(p) >= margin:
+        if all(d >= margin for d in _window_distances(p)):
             return p
     p = _constructive_draw(n, r, margin, rng)
-    if p is not None and genericity_margin(p) >= margin:
+    if p is not None and all(d >= margin for d in _window_distances(p)):
         return p
     raise SamplingError(
         f"no level-{r} set with margin {margin} after {max_attempts} attempts (n={n})")

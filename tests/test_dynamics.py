@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -17,8 +19,7 @@ from cpvi.dynamics import (
     degenerate_rhs,
     hamiltonian_appendix,
     hamiltonian_cp6,
-    hamiltonian_degenerate,
-    hamiltonian_symmetric,
+    hamiltonian_level,
     integrate,
     linear_rhs,
     log_derivative_target,
@@ -31,8 +32,20 @@ from cpvi.dynamics import (
     symmetric_rhs,
     symmetric_to_canonical,
 )
-from cpvi.linear import build_confluent, build_dual, build_fuchsian, fundamental_solution
-from cpvi.params import ParameterSet, degenerate_replace, sample_degenerate, sample_generic
+from cpvi.linear import (
+    _residue_matrices,
+    build_confluent,
+    build_dual,
+    build_fuchsian,
+    fundamental_solution,
+)
+from cpvi.params import (
+    ParameterSet,
+    degenerate_replace,
+    sample_degenerate,
+    sample_generic,
+    sample_rational_generic,
+)
 
 
 def stencil_grad(f, vec):
@@ -41,15 +54,16 @@ def stencil_grad(f, vec):
     (8 (f(v+1) - f(v-1)) - (f(v+2) - f(v-2))) / 12 has no truncation error
     where f has degree at most 4 in each entry.  The coupled Hamiltonian has
     degree 3 in each q_i and every other Hamiltonian here degree 2, so the
-    result is their exact gradient up to rounding.
+    result is their exact gradient up to rounding, and exactly their gradient
+    on Fraction entries.  Returns a list.
     """
     def shifted(i, s):
-        v = vec.copy()
+        v = list(vec)
         v[i] += s
         return f(v)
 
-    return np.array([(8 * (shifted(i, 1) - shifted(i, -1)) - (shifted(i, 2) - shifted(i, -2))) / 12
-                     for i in range(len(vec))], dtype=complex)
+    return [(8 * (shifted(i, 1) - shifted(i, -1)) - (shifted(i, 2) - shifted(i, -2))) / 12
+            for i in range(len(vec))]
 
 
 def constrained_state(p, rng, spread=1.2):
@@ -103,29 +117,23 @@ class TestGradientOracles:
             assert rel_err(dq, stencil_grad(lambda v: hamiltonian_cp6(p, v, pm, t), q)) < 1e-12
             assert rel_err(dp, stencil_grad(lambda v: hamiltonian_cp6(p, q, v, t), pm)) < 1e-12
 
-    @pytest.mark.parametrize("n", RANKS)
-    def test_symmetric(self, n):
-        p = kernel_set(n, seed=10 + n)
-        rng = np.random.default_rng(200 + n)
-        for _ in range(10):
-            x = rng.uniform(0.4, 1.5, n + 1).astype(complex)
-            y = rng.uniform(-1.2, 1.2, n + 1).astype(complex)
-            t = rng.uniform(0.15, 0.85)
-            dx, dy = field_gradients(lambda a, b: symmetric_field(p, a, b, t), x, y, 1.0)
-            assert rel_err(dx, stencil_grad(lambda v: hamiltonian_symmetric(p, v, y, t), x)) < 1e-12
-            assert rel_err(dy, stencil_grad(lambda v: hamiltonian_symmetric(p, x, v, t), y)) < 1e-12
-
-    @pytest.mark.parametrize("n,r", LEVELS)
+    @pytest.mark.parametrize("n,r", [(n, 0) for n in RANKS] + LEVELS)
     def test_degenerate(self, n, r):
-        p = sample_degenerate(n, r, seed=20 + n + r)
+        """Every confluence level r = 0..n+1 against :func:`hamiltonian_level`;
+        level 0 is the symmetric form."""
+        p = kernel_set(n, seed=10 + n) if r == 0 else sample_degenerate(n, r, seed=20 + n + r)
+        field = degenerate_field if r else symmetric_field
         rng = np.random.default_rng(300 + 10 * n + r)
-        for i in range(9):
+        for i in range(10):
             x = rng.uniform(0.4, 1.5, n + 1).astype(complex)
             y = rng.uniform(-1.2, 1.2, n + 1).astype(complex)
-            t = rng.uniform(0.3, 1.8) if i < 8 else 1.0     # t = 1 is regular at r >= 1
-            dtx, dty = field_gradients(lambda a, b: degenerate_field(p, a, b, t), x, y, t)
-            assert rel_err(dtx, stencil_grad(lambda v: t * hamiltonian_degenerate(p, v, y, t), x)) < 1e-12
-            assert rel_err(dty, stencil_grad(lambda v: t * hamiltonian_degenerate(p, x, v, t), y)) < 1e-12
+            if r == 0:
+                t = rng.uniform(0.15, 0.85)
+            else:
+                t = rng.uniform(0.3, 1.8) if i < 9 else 1.0     # t = 1 is regular at r >= 1
+            dtx, dty = field_gradients(lambda a, b: field(p, a, b, t), x, y, t)
+            assert rel_err(dtx, stencil_grad(lambda v: t * hamiltonian_level(p, v, y, t), x)) < 1e-12
+            assert rel_err(dty, stencil_grad(lambda v: t * hamiltonian_level(p, x, v, t), y)) < 1e-12
 
     @pytest.mark.parametrize("which", APPENDIX_SYSTEMS)
     def test_appendix(self, which):
@@ -139,6 +147,95 @@ class TestGradientOracles:
             dq, dp = field_gradients(lambda a, b: appendix_a_field(which, p, a, b, t), q, pm, t)
             assert rel_err(dq, stencil_grad(lambda v: hamiltonian_appendix(which, p, v, pm, t), q)) < 1e-12
             assert rel_err(dp, stencil_grad(lambda v: hamiltonian_appendix(which, p, q, v, t), pm)) < 1e-12
+
+
+def rational(rng):
+    """A nonzero random rational with a small denominator."""
+    return Fraction(int(rng.choice([-1, 1]) * rng.integers(1, 61)), int(rng.integers(1, 30)))
+
+
+def rational_set(n, r, rng):
+    """A level-r set with Fraction entries and a random rational eta:
+    ``sample_rational_generic`` with the slots 2i < 2r zeroed and the last
+    odd slot renormalised."""
+    alpha = list(sample_rational_generic(n, seed=int(rng.integers(1000))).alpha)
+    alpha[0:2 * r:2] = [Fraction(0)] * r
+    alpha[-1] += 1 - sum(alpha)
+    return ParameterSet(n, tuple(alpha), rational(rng), r)
+
+
+def rational_points(n, r, seed, count=3):
+    """(p, x, y, t) at random rational points, t = k/101 in (0, 1)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        p = rational_set(n, r, rng)
+        x = [rational(rng) for _ in range(n + 1)]
+        y = [rational(rng) for _ in range(n + 1)]
+        yield p, x, y, Fraction(int(rng.integers(1, 101)), 101)
+
+
+def exact_field(rhs, v, t):
+    """A kernel rhs closure run on Fraction entries (an object array carries them through)."""
+    return rhs(t, np.array(v, dtype=object)).tolist()
+
+
+def level_rhs(p):
+    return degenerate_rhs(p) if p.degeneracy else symmetric_rhs(p)
+
+
+ALL_LEVELS = [(n, r) for n in (1, 2, 3, 4) for r in range(n + 2)]
+
+
+class TestExactCertificates:
+    """The shipped kernels on Fraction sets and states, held to their identities
+    with ``==``.  Each identity is polynomial in the state, so its holding at random
+    rational points is a proof except with probability at most degree/|sample set|
+    (Schwartz-Zippel: J. T. Schwartz, J. ACM 27 (1980) 701-717)."""
+
+    @pytest.mark.parametrize("n,r", ALL_LEVELS)
+    def test_kernel_is_gradient_of_level_hamiltonian(self, n, r):
+        # t * field = (d(tH)/dy, -d(tH)/dx); the stencil is exact at degree <= 4
+        for p, x, y, t in rational_points(n, r, seed=400 + 10 * n + r):
+            f = exact_field(level_rhs(p), x + y, t)
+            assert [t * v for v in f[:n + 1]] == stencil_grad(lambda b: t * hamiltonian_level(p, x, b, t), y)
+            assert [-t * v for v in f[n + 1:]] == stencil_grad(lambda a: t * hamiltonian_level(p, a, y, t), x)
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_chart_identity(self, n):
+        # t(t-1) times the coupled field is the canonical field of hamiltonian_cp6
+        for p, x, y, t in rational_points(n, 0, seed=500 + n, count=1 if n == 8 else 3):
+            q, pm, s = x[:n], y[:n], t * (t - 1)
+            f = exact_field(cp6_rhs(p), q + pm, t)
+            assert [s * v for v in f[:n]] == stencil_grad(lambda b: hamiltonian_cp6(p, q, b, t), pm)
+            assert [-s * v for v in f[n:]] == stencil_grad(lambda a: hamiltonian_cp6(p, a, pm, t), q)
+
+    @pytest.mark.parametrize("n,r", ALL_LEVELS)
+    def test_position_specialisation(self, n, r):
+        # at y = 0 the field is the linear system (A0/t + A1/(1-t)) x, or A0/t + A1 at r >= 1
+        for p, x, _, t in rational_points(n, r, seed=600 + 10 * n + r):
+            A0, A1 = _residue_matrices(n, r, p.partial_sum)
+            c1 = 1 if r else 1 / (1 - t)
+            want = [sum((a0 / t + a1 * c1) * xj for a0, a1, xj in zip(row0, row1, x))
+                    for row0, row1 in zip(A0, A1)]
+            f = exact_field(level_rhs(p), x + [Fraction(0)] * (n + 1), t)
+            assert f[:n + 1] == want
+            assert f[n + 1:] == [0] * (n + 1)
+
+    @pytest.mark.parametrize("n,r", ALL_LEVELS)
+    def test_constraint_is_conserved(self, n, r):
+        for p, x, y, t in rational_points(n, r, seed=700 + 10 * n + r):
+            f = exact_field(level_rhs(p), x + y, t)
+            assert sum(xi * fy + yi * fx for xi, yi, fx, fy in zip(x, y, f, f[n + 1:])) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_log_derivative_identity(self, n):
+        # on the constraint, t(1-t) d/dt log x_n = log_derivative_target in chart n
+        for p, x, y, t in rational_points(n, 0, seed=800 + n):
+            p = p.with_eta(-sum(xi * yi for xi, yi in zip(x, y)))
+            f = exact_field(symmetric_rhs(p), x + y, t)
+            q = [t * xi / x[n] for xi in x[:n]]
+            pm = [x[n] * yi / t for yi in y[:n]]
+            assert t * (1 - t) * f[n] / x[n] == log_derivative_target(p, q, pm, p.eta, t)
 
 
 class TestCoupledField:

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -185,3 +186,41 @@ def test_no_unreferenced_public_names():
     assert defined, "no public module-level name found in src/cpvi"
     orphans = [f"{module}: {name}" for module, name in defined if name not in loaded]
     assert not orphans, orphans
+
+
+_ALLOWED_IMPORTS = {"numpy", "cpvi"}
+
+
+def _foreign_imports(tree):
+    """Top-level packages a parsed module imports that are neither the standard
+    library nor numpy nor cpvi; relative imports are cpvi's own."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return sorted(names - sys.stdlib_module_names - _ALLOWED_IMPORTS)
+
+
+def test_import_scanner_finds_foreign_packages():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import math, numpy as np\n"
+        "import scipy.linalg\n"
+        "from fractions import Fraction\n"
+        "from .params import ParameterSet\n"
+        "from cpvi.linear import build_fuchsian\n"
+        "def f():\n"
+        "    import mpmath\n"
+        "    from sympy import Symbol\n")
+    assert _foreign_imports(tree) == ["mpmath", "scipy", "sympy"]
+
+
+def test_library_imports_only_stdlib_and_numpy():
+    """src/cpvi imports nothing but the standard library, numpy and itself, so
+    scipy, mpmath, sympy and hypothesis stay test and benchmark tools."""
+    foreign = {path.name: _foreign_imports(ast.parse(path.read_text()))
+               for path in sorted((ROOT / "src" / "cpvi").glob("*.py"))}
+    assert foreign, "no module found in src/cpvi"
+    assert not {name: mods for name, mods in foreign.items() if mods}

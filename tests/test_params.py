@@ -142,6 +142,27 @@ class TestSampling:
         assert abs(sum(p.alpha) - 1.0) < 1e-12
         assert genericity_margin(p) >= 0.05
 
+    PINNED_SETS = [
+        ((8, 0, 0, 0.05),
+         [0.05367142226862293, 0.07700363286328296, 0.0410599070297639, 0.06289151109407322,
+          0.03616417199750578, 0.07441121670561714, 0.05789104664323412, 0.05776090001540961,
+          0.03321635432290884, 0.06840908678936108, 0.049028608332253684, 0.07438090710310588,
+          0.038776310970417255, 0.056531212674887074, 0.04534601822537584, 0.061184474465058564,
+          0.05451503511958403, 0.0577581833795379], 0.3636613845728893),
+        ((3, 2, 5, 0.05),
+         [0.0, 0.5623961276052564, 0.0, 0.5659215667945928, 0.21478329236137064,
+          -0.060645724783429854, -0.33889053803121205, 0.05643527605342211], -0.13729019187000202),
+        ((2, 0, 7, 0.02),
+         [0.177396850968764, 0.5039388522066544, 0.35810511933739575, -0.30246908096812614,
+          -0.21251816706336585, 0.4755464255186778], -0.7421020431516379),
+    ]
+
+    @pytest.mark.parametrize("args,alpha,eta", PINNED_SETS)
+    def test_pinned_sets(self, args, alpha, eta):
+        # the margin test stops at the first failing window; the sets it accepts stay these
+        n, r, seed, margin = args
+        assert sample_degenerate(n, r, seed, margin) == make_set(alpha, eta, r)
+
     @staticmethod
     def feasible_margin(n, r):
         # largest margin with (n+1) margin + (n+1-r) margin/2 <= 1
