@@ -244,21 +244,23 @@ def _powers(t: complex, count: int) -> np.ndarray:
     return tpow.cumprod()
 
 
-def _operator_polys(spec: HGSpec):
+def _operator_polys(upper, lower):
     """P, Q with P(i) c_i = Q(i-1) c_{i-1} the Frobenius recursion.
 
     P(s) = s prod(s + b - 1) is the delta part of the defining operator,
-    Q(s) = prod(s + a) the t-multiplied part.
+    Q(s) = prod(s + a) the t-multiplied part.  ``upper[j]`` and
+    ``lower[j]`` hold parameter j of every spec of a block, one entry per
+    column, so a column of degrees s gives one column per spec.
     """
     def P(s):
         out = s
-        for b in spec.lower:
+        for b in lower:
             out = out * (s + b - 1)
         return out
 
     def Q(s):
         out = 1.0 + 0.0j
-        for a in spec.upper:
+        for a in upper:
             out = out * (s + a)
         return out
 
@@ -285,27 +287,42 @@ def operator_residual(spec: HGSpec, coeffs, t: complex, exponent: complex = 0.0)
     the residual.  P and Q are evaluated on all degrees at once and the
     image at t is summed with ``math.fsum`` on its real and imaginary
     parts, so the sum is correctly rounded whatever the cancellation.
+    This is the one-column case of :func:`_operator_residual_columns`.
     """
     c = np.asarray(coeffs, dtype=complex)
-    if c.size == 0:
+    return _operator_residual_columns((spec,), c[:, None], t, exponent)
+
+
+def _operator_residual_columns(specs, coeffs: np.ndarray, t: complex, exponent: complex) -> float:
+    """Worst :func:`operator_residual` over the columns of a coefficient block.
+
+    Column j of the (depth+1) x len(specs) array ``coeffs`` is a series at
+    ``exponent`` read in the operator of ``specs[j]``; the specs have the
+    same numbers of upper and lower parameters, so P and Q of every column
+    come from one pass over the block.
+    """
+    if coeffs.shape[0] == 0:
         return 0.0
-    P, Q = _operator_polys(spec)
-    s = complex(exponent) + np.arange(c.size)
-    lead = P(s) * c
-    lag = np.zeros_like(c)
-    lag[1:] = Q(s[1:] - 1) * c[:-1]
-    scale = max(np.max(np.abs(lead)), np.max(np.abs(lag)))
-    if scale == 0.0:
-        return 0.0
-    coefficient_level = float(np.max(np.abs(lead - lag)) / scale)
-    tpow = _powers(t, c.size)
+    P, Q = _operator_polys(np.array([sp.upper for sp in specs]).T,
+                           np.array([sp.lower for sp in specs]).T)
+    s = (complex(exponent) + np.arange(coeffs.shape[0]))[:, None]
+    lead = P(s) * coeffs
+    lag = np.zeros_like(lead)
+    lag[1:] = Q(s[1:] - 1) * coeffs[:-1]
+    defect = np.abs(lead - lag).max(axis=0)
+    scale = np.maximum(np.abs(lead).max(axis=0), np.abs(lag).max(axis=0))
+    tpow = _powers(t, coeffs.shape[0])[:, None]
     lead *= tpow
     lag *= tpow
-    scale = max(np.max(np.abs(lead)), np.max(np.abs(lag)))
-    if scale == 0.0:
-        return coefficient_level
-    image = lead - lag
-    return max(coefficient_level, abs(complex(math.fsum(image.real), math.fsum(image.imag))) / scale)
+    image = (lead - lag).T
+    point_scale = np.maximum(np.abs(lead).max(axis=0), np.abs(lag).max(axis=0))
+    worst = np.zeros(coeffs.shape[1])      # a column of scale 0 reads 0
+    for j in np.flatnonzero(scale):
+        worst[j] = defect[j] / scale[j]
+        if point_scale[j] != 0.0:
+            point = complex(math.fsum(image[j].real), math.fsum(image[j].imag))
+            worst[j] = max(worst[j], abs(point) / point_scale[j])
+    return float(worst.max())              # np.max keeps a NaN column
 
 
 def ode_residual(spec: HGSpec, t: complex) -> float:

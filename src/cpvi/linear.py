@@ -50,8 +50,8 @@ from operator import mul
 
 import numpy as np
 
-from .hyperfn import (HGSpec, SeriesError, _contiguous_sums, _level_weights, _powers,
-                      operator_residual, series_coefficients)
+from .hyperfn import (HGSpec, SeriesError, _contiguous_sums, _level_weights,
+                      _operator_residual_columns, _powers, series_coefficients)
 from .params import ParameterSet, integer_windows
 
 
@@ -666,18 +666,16 @@ def component_ode_params(p: ParameterSet, i: int) -> HGSpec:
 def component_operator_residual(p: ParameterSet, sol: SeriesSolution, t: complex) -> float:
     """Worst per-component residual of a branch solution in its scalar
     operator (:func:`component_ode_params`), each read at the coefficient
-    level and at t by :func:`hyperfn.operator_residual`."""
+    level and at t by :func:`hyperfn.operator_residual`, all n+1 columns
+    in one pass.  A component beyond the branch index carries an extra
+    factor of t; its leading original-frame coefficient is 0, so its column
+    read at the branch exponent is the same series and the same
+    coefficient-level reading as the column without that entry read one
+    degree higher."""
     n = p.n
-    u = sol.original_coeffs()
     upper, lower = _branch_windows(p, n)
-    worst = 0.0
-    for i in range(n + 1):
-        spec = _shifted_spec(upper, lower, n - i)
-        # components beyond the branch index carry an extra factor of t
-        rho = sol.exponent + (1.0 if i > sol.k else 0.0)
-        coeffs = u[1:, i] if i > sol.k else u[:, i]
-        worst = max(worst, operator_residual(spec, coeffs, t, exponent=rho))
-    return worst
+    specs = [_shifted_spec(upper, lower, n - i) for i in range(n + 1)]
+    return _operator_residual_columns(specs, sol.original_coeffs(), t, sol.exponent)
 
 
 def system_to_json(sys: LinearSystem) -> dict:

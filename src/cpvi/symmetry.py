@@ -15,6 +15,13 @@ Products of two distinct generators have order 3 on cyclic neighbours and
 order 2 otherwise, so the group is the affine Weyl group of the cyclic
 diagram; the relation suite in the tests checks exactly that on random
 regular states.
+
+The generators are scalar code in the arithmetic of their inputs (state
+entries, alpha, eta and t), with no cast and no array per step: complex
+in production, and exact on ``Fraction``s for the t-free generators
+1..2n.  The cycle-closing generators take the principal branch of
+t^alpha at complex t; real t <= 0 is the branch cut and raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -68,77 +75,108 @@ def coordinate(kind: str, idx: int):
     raise ValueError("kind must be 'x' or 'y'")
 
 
-def _transform_params(p: ParameterSet, i: int) -> ParameterSet:
-    """Row i of the Cartan matrix applied directly: alpha_i -> -alpha_i and
-    each cyclic neighbour gains alpha_i."""
-    m = 2 * p.n + 2
-    ai = p.alpha[i]
-    alpha = list(p.alpha)
+def _cartan_row(i: int, alpha: list, eta):
+    """Row i of the Cartan matrix applied directly: alpha_i -> -alpha_i,
+    each cyclic neighbour gains alpha_i, and eta shifts by (-1)^i alpha_i.
+    Returns a new alpha list and eta."""
+    m = len(alpha)
+    ai = alpha[i]
+    alpha = alpha[:]
     alpha[i] = 0 - ai     # unlike -ai, keeps the +0 imaginary part of a real entry
     for j in (i - 1, i + 1):
         alpha[j % m] += ai
-    eta = p.eta + (-1) ** i * ai
+    return alpha, eta + (-1) ** i * ai
+
+
+def _transform_params(p: ParameterSet, i: int) -> ParameterSet:
+    """The parameter action of generator i (:func:`_cartan_row`)."""
+    alpha, eta = _cartan_row(i, list(p.alpha), p.eta)
     return ParameterSet(p.n, tuple(alpha), eta, p.degeneracy)
 
 
-def apply_generator(i: int, x, y, p: ParameterSet, t: float):
-    """Apply generator i to a state and its parameters at time t.
+def _entries(v) -> list:
+    """The entries of a state vector as a list of scalars (Python scalars
+    for an array, whose own scalars are slower)."""
+    return v.tolist() if isinstance(v, np.ndarray) else list(v)
 
-    Returns (x', y', params').  Raises :class:`SingularTransformError` when
-    the generator's denominator vanishes at the state, and ValueError for
-    t <= 0 when the generator carries a power of t (principal branch).
+
+def _act(i: int, x: list, y: list, alpha: list, eta, t):
+    """Generator i on the state (x, y) and the parameters (alpha, eta) at t.
+
+    Scalar code on lists in the entries' own arithmetic; returns new lists
+    x', y', alpha' and the new eta.  The cycle-closing generators take the
+    principal branch of t^alpha_i and raise ValueError on its cut, real
+    t <= 0.
     """
-    n = p.n
+    n = len(alpha) // 2 - 1
     if not 0 <= i <= 2 * n + 1:
         raise ValueError(f"generator index {i} out of range 0..{2 * n + 1}")
-    x = np.asarray(x, dtype=complex).copy()
-    y = np.asarray(y, dtype=complex).copy()
-    ai = complex(p.alpha[i])
+    ai = alpha[i]
+    x, y = x[:], y[:]
+    if i == 0 or i == 2 * n + 1:
+        if t.imag == 0 and t.real <= 0:
+            raise ValueError("t must not lie on the branch cut t <= 0 of the "
+                             "cycle-closing generators")
     if i == 0:
-        if t <= 0:
-            raise ValueError("t must be positive for the cycle-closing generators")
         den = x[n] - t * x[0]
         if abs(den) < _DENOM_TOL:
             raise SingularTransformError("generator 0: x_n - t x_0 vanishes")
+        y[0] += t * ai / den
+        y[n] -= ai / den
         w = t ** (-ai)
-        y_new = y.copy()
-        y_new[0] += t * ai / den
-        y_new[n] -= ai / den
-        return w * x, y_new / w, _transform_params(p, 0)
-    if i == 2 * n + 1:
-        if t <= 0:
-            raise ValueError("t must be positive for the cycle-closing generators")
+        x = [w * v for v in x]
+        y = [v / w for v in y]
+    elif i == 2 * n + 1:
         if abs(y[n]) < _DENOM_TOL:
             raise SingularTransformError(f"generator {i}: y_n vanishes")
+        x[n] += ai / y[n]
         w = t ** ai
-        x_new = x.copy()
-        x_new[n] += ai / y[n]
-        return w * x_new, y / w, _transform_params(p, i)
-    if i % 2 == 1:
+        x = [w * v for v in x]
+        y = [v / w for v in y]
+    elif i % 2 == 1:
         j = (i - 1) // 2          # acts through the momentum y_j
         if abs(y[j]) < _DENOM_TOL:
             raise SingularTransformError(f"generator {i}: y_{j} vanishes")
-        x_new = x.copy()
-        x_new[j] += ai / y[j]
-        return x_new, y, _transform_params(p, i)
-    j = i // 2                    # even generator, acts through x_{j-1} - x_j
-    den = x[j - 1] - x[j]
-    if abs(den) < _DENOM_TOL:
-        raise SingularTransformError(f"generator {i}: x_{j - 1} - x_{j} vanishes")
-    y_new = y.copy()
-    y_new[j - 1] -= ai / den
-    y_new[j] += ai / den
-    return x, y_new, _transform_params(p, i)
+        x[j] += ai / y[j]
+    else:
+        j = i // 2                # even generator, acts through x_{j-1} - x_j
+        den = x[j - 1] - x[j]
+        if abs(den) < _DENOM_TOL:
+            raise SingularTransformError(f"generator {i}: x_{j - 1} - x_{j} vanishes")
+        y[j - 1] -= ai / den
+        y[j] += ai / den
+    return (x, y) + _cartan_row(i, alpha, eta)
 
 
-def apply_word(word, x, y, p: ParameterSet, t: float):
-    """Left-to-right composition of generators; errors carry the position."""
+def apply_generator(i: int, x, y, p: ParameterSet, t):
+    """Apply generator i to a state and its parameters at time t.
+
+    Returns (x', y', params') with x', y' arrays of the entries' common
+    type.  The arithmetic is that of the entries, alpha, eta and t: exact
+    on ``Fraction``s for the t-free generators 1..2n.  The cycle-closing
+    generators 0 and 2n+1 carry t^(-alpha_0) and t^alpha_{2n+1}, taken on
+    the principal branch at complex t.  Raises
+    :class:`SingularTransformError` when the generator's denominator
+    vanishes at the state, and ValueError on the branch cut, real t <= 0,
+    for the cycle-closing generators.
+    """
+    x, y, alpha, eta = _act(i, _entries(x), _entries(y), list(p.alpha), p.eta, t)
+    return np.array(x), np.array(y), ParameterSet(p.n, tuple(alpha), eta, p.degeneracy)
+
+
+def apply_word(word, x, y, p: ParameterSet, t):
+    """Left-to-right composition of generators; errors carry the position.
+
+    Same arithmetic as :func:`apply_generator`; the parameter set is
+    built once, for the result.
+    """
+    x, y, alpha, eta = _entries(x), _entries(y), list(p.alpha), p.eta
     for pos, i in enumerate(word):
         try:
-            x, y, p = apply_generator(int(i), x, y, p, t)
+            x, y, alpha, eta = _act(int(i), x, y, alpha, eta, t)
         except (SingularTransformError, ValueError) as exc:
             raise type(exc)(f"at word position {pos} (generator {i}): {exc}") from exc
-    return x, y, p
+    return np.array(x), np.array(y), ParameterSet(p.n, tuple(alpha), eta, p.degeneracy)
 
 
 _STATE_MARGIN = 0.05
@@ -160,22 +198,22 @@ def sample_regular_state(n: int, rng, t: float):
     raise RuntimeError("could not sample a regular state")
 
 
-def word_deviation(word, x, y, p: ParameterSet, t: float) -> float:
+def word_deviation(word, x, y, p: ParameterSet, t) -> float:
     """Distance of a word's action from the identity at a state.
 
     The state deviation is relative to max(1, |x_i|, |y_i|) over the start
     state and every intermediate state, the scale at which the generators
     round; the parameter and eta deviations are absolute.
     """
-    xs, ys, p2 = [x], [y], p
+    x, y, alpha, eta = _entries(x), _entries(y), list(p.alpha), p.eta
+    start = x + y
+    scale = max(1.0, *map(abs, start))
     for i in word:
-        x2, y2, p2 = apply_generator(int(i), xs[-1], ys[-1], p2, t)
-        xs.append(x2)
-        ys.append(y2)
-    scale = max(1.0, np.abs(xs + ys).max())
-    dev = max(np.max(np.abs(xs[-1] - x)), np.max(np.abs(ys[-1] - y))) / scale
-    dev = max(dev, np.max(np.abs(np.array(p2.alpha) - np.array(p.alpha))))
-    return max(dev, abs(complex(p2.eta) - complex(p.eta)))
+        x, y, alpha, eta = _act(int(i), x, y, alpha, eta, t)
+        scale = max(scale, *map(abs, x + y))
+    dev = max(abs(a - b) for a, b in zip(x + y, start)) / scale
+    dev = max(dev, *(abs(a - b) for a, b in zip(alpha, p.alpha)))
+    return max(dev, abs(eta - p.eta))
 
 
 def relation_words(n: int):

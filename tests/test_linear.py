@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from cpvi.dynamics import integrate, linear_rhs
-from cpvi.hyperfn import HGSpec, SeriesError, eval_series, pochhammer, series_coefficients
+from cpvi.hyperfn import (HGSpec, SeriesError, eval_series, operator_residual, pochhammer,
+                          series_coefficients)
 from cpvi.linear import (
     LinearSystem,
     ResonanceError,
@@ -431,6 +432,46 @@ class TestResidualSensitivity:
         for k in range(n + 1):
             bad = _perturb_largest(fundamental_solution(p, k, depth=60))
             assert recurrence_residual(sys, bad) > 1e-10
+
+
+def _component_residual_loop(p, sol, t):
+    """The components one at a time, each as its own series: a component
+    i > k without its leading 0, one degree higher."""
+    u = sol.original_coeffs()
+    worst = 0.0
+    for i in range(p.n + 1):
+        later = i > sol.k
+        worst = max(worst, operator_residual(component_ode_params(p, i),
+                                             u[1:, i] if later else u[:, i], t,
+                                             exponent=sol.exponent + (1.0 if later else 0.0)))
+    return worst
+
+
+PERTURBED_SETS = ([sample_generic(n, seed=130 + n) for n in (1, 2, 3)]
+                  + [sample_generic(3, seed=93), sample_generic(2, seed=162)]
+                  + [sample_degenerate(n, r, seed=200 + 10 * n + r)
+                     for n, r in ((1, 1), (2, 3), (3, 4))])
+
+
+class TestComponentResidualBlock:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_component_loop_on_true_solutions(self, n):
+        for p in (sample_generic(n, seed=140 + n), sample_degenerate(n, n, seed=150 + n)):
+            for k in range(n + 1):
+                sol = fundamental_solution(p, k, depth=60)
+                for t in (0.4, 0.25 + 0.2j):
+                    block = component_operator_residual(p, sol, t)
+                    assert block < 1e-12
+                    assert abs(block - _component_residual_loop(p, sol, t)) < 1e-14
+
+    @pytest.mark.parametrize("p", PERTURBED_SETS, ids=range(len(PERTURBED_SETS)))
+    def test_equals_component_loop_on_perturbed_solutions(self, p):
+        for k in range(p.n + 1):
+            bad = _perturb_largest(fundamental_solution(p, k, depth=60))
+            block = component_operator_residual(p, bad, 0.4)
+            loop = _component_residual_loop(p, bad, 0.4)
+            assert block > 1e-8 and loop > 1e-8
+            assert block == pytest.approx(loop, rel=1e-6)
 
 
 class TestExactSystemResidual:

@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cpvi.dynamics import constraint_value, integrate, symmetric_field, symmetric_rhs
-from cpvi.params import sample_generic
+from cpvi.params import sample_generic, sample_rational_generic
 from cpvi.symmetry import (
     SingularTransformError,
+    _transform_params,
     apply_generator,
     apply_word,
     cartan_matrix,
@@ -98,6 +101,12 @@ class TestGenerators:
         with pytest.raises(ValueError):
             apply_generator(0, self.x, self.y, self.p, -0.4)
 
+    @pytest.mark.parametrize("t", [0.0, -0.4 + 0j, complex(-0.4, -0.0)])
+    @pytest.mark.parametrize("i", [0, 5])
+    def test_branch_cut_rejected_for_cycle_generators(self, i, t):
+        with pytest.raises(ValueError, match="branch cut"):
+            apply_generator(i, self.x, self.y, self.p, t)
+
 
 class TestRelations:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -115,6 +124,17 @@ class TestRelations:
         x, y = sample_regular_state(1, np.random.default_rng(10), 0.4)
         assert word_deviation((0, 1) * 3, x, y, p, 0.4) < 1e-12
 
+    # off the cut the cycle-closing generators take the principal branch of t^alpha
+    @pytest.mark.parametrize("t", [0.4 + 0.3j, -0.5 + 0.2j, 1.7 - 0.9j])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_relations_hold_at_complex_time(self, n, t):
+        rng = np.random.default_rng(40 + n)
+        for seed in range(4):
+            p = sample_generic(n, seed=70 + seed)
+            x, y = sample_regular_state(n, rng, t)
+            for _, word in relation_words(n):
+                assert word_deviation(word, x, y, p, t) < 1e-12
+
     def test_word_error_reports_position(self):
         p = sample_generic(1, seed=2)
         x = np.array([1.0, 1.2], dtype=complex)
@@ -130,6 +150,38 @@ class TestRelations:
         assert kinds.count("square") == m
         assert kinds.count("braid") == m          # cyclic neighbours
         assert kinds.count("commute") == m * (m - 1) // 2 - m
+
+
+def _rational_state(n, rng):
+    """x and y with nonzero entries and pairwise distinct x, over the denominator 17."""
+    x = [Fraction(int(v), 17) for v in rng.choice(np.r_[-40:-4, 5:41], n + 1, replace=False)]
+    y = [Fraction(int(v), 17) for v in rng.choice(np.r_[-40:-4, 5:41], n + 1)]
+    return x, y
+
+
+class TestExactCertificates:
+    """The t-free generators 1..2n on Fraction inputs: every relation is an
+    exact identity, checked with ==."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_t_free_relations_are_exact(self, n):
+        p = sample_rational_generic(n, seed=90 + n).with_eta(Fraction(3, 7))
+        words = [w for _, w in relation_words(n) if all(1 <= i <= 2 * n for i in w)]
+        assert len(words) == 2 * n + n * (2 * n - 1)     # 2n squares and every pair
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            x, y = _rational_state(n, rng)
+            for word in words:
+                x2, y2, p2 = apply_word(word, x, y, p, Fraction(2, 5))
+                assert list(x2) == x and list(y2) == y
+                assert p2.alpha == p.alpha and p2.eta == p.eta
+                assert all(type(v) is Fraction for v in (*x2, *y2, *p2.alpha, p2.eta))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_parameter_action_is_an_exact_involution(self, n):
+        p = sample_rational_generic(n, seed=90 + n).with_eta(Fraction(3, 7))
+        for i in range(2 * n + 2):
+            assert _transform_params(_transform_params(p, i), i) == p
 
 
 class TestSolutionMapping:
