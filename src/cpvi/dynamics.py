@@ -22,16 +22,20 @@ Hamiltonian, divided by the time factor, as a scalar loop.  It raises
 IntegrationError at its own singular times, reads the flat state as one
 list and returns the flat field as one list.  The states have length at
 most 2n+2, and at that size numpy's fixed cost per array operation (about
-a microsecond) would dominate a field call.  Kernels and Hamiltonians are
-type-generic: they cast nothing and their only literals are the ints 0, 1
-and 2, so they compute in the arithmetic of their inputs, Python complex
-numbers in production and ``Fraction``s in the exact certificates of the
-tests.  The rhs closure of a family builds the kernel's parameter
-constants once; the public field function builds that closure on every
-call and splits its flat result.  The tests read each gradient off the
-field and hold it to its Hamiltonian with a unit-step five-point stencil,
-which has no truncation error at these degrees: in floats at 1e-12, and
-at random rational points with ``==``.
+a microsecond) would dominate a field call.  Kernels, Hamiltonians,
+fields and chart maps are type-generic: they cast nothing and their only
+literals are the ints 0, 1 and 2, so they compute in the arithmetic of
+their inputs, Python complex numbers in production (real inputs give real
+arrays) and ``Fraction``s in the exact certificates of the tests.  The rhs
+closure of a family builds the kernel's parameter constants once; the
+public field function builds that closure on every call and splits its
+flat result.  The tests read each gradient off the field and hold it to
+its Hamiltonian with a unit-step five-point stencil, which has no
+truncation error at these degrees: in floats at 1e-12, and at random
+rational points with ``==``.  Derivatives are exact: :func:`state_partials`
+runs a state function once on dual numbers, so a map or state function
+passed in must compute in its inputs' arithmetic (no ``complex()``, no
+``dtype=complex``).
 
 The integrator is an embedded Dormand-Prince 5(4) pair with complex
 state support; its stage states, fifth-order solution and error estimate
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Number
 
 import numpy as np
 
@@ -55,17 +60,9 @@ class IntegrationError(RuntimeError):
     """Adaptive stepping failed (singular point or movable pole)."""
 
 
-_FD_STEP = 1e-5
-
-
-def _cvec(v):
-    return np.asarray(v, dtype=complex)
-
-
 def _split_field(rhs, a, b, t):
-    """A family's rhs at complex(t) on the state (a, b), split into its a and b halves."""
-    a = _cvec(a)
-    f = rhs(complex(t), np.concatenate((a, _cvec(b))))
+    """A family's rhs at t on the state (a, b), split into its a and b halves."""
+    f = rhs(t, np.concatenate((a, b)))
     return f[:len(a)], f[len(a):]
 
 
@@ -122,7 +119,7 @@ def coupled_p6_field(p: ParameterSet, q, pm, t):
 
 def riccati_rhs(p: ParameterSet, q, t):
     """Right-hand side of t(t-1) q' for the rank-1 momentum-free reduction."""
-    a0, a1, _, a3 = (complex(a) for a in p.alpha)
+    a0, a1, _, a3 = p.alpha
     return a1 * q * q + ((a3 + a0) * t - (a0 + a1)) * q - a3 * t
 
 
@@ -226,31 +223,21 @@ def constraint_value(x, y, eta):
 
 def symmetric_to_canonical(p: ParameterSet, x, y, t):
     """(q, p, eta) from a symmetric state; needs x_n != 0 and t != 0."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    x, y = np.asarray(x), np.asarray(y)
     if x[-1] == 0:
         raise ZeroDivisionError("coordinate chart breaks down at x_n = 0")
     if t == 0:
         raise ZeroDivisionError("coordinate chart undefined at t = 0")
-    q = t * x[:-1] / x[-1]
-    pm = x[-1] * y[:-1] / t
-    eta = -np.sum(x * y)
-    return q, pm, eta
+    return t * x[:-1] / x[-1], x[-1] * y[:-1] / t, -np.sum(x * y)
 
 
 def canonical_to_symmetric(p: ParameterSet, q, pm, eta, x_last, t):
     """Inverse chart; the free scale x_n is supplied by the caller."""
-    q = np.asarray(q, dtype=complex)
-    pm = np.asarray(pm, dtype=complex)
+    q, pm = np.asarray(q), np.asarray(pm)
     if x_last == 0 or t == 0:
         raise ZeroDivisionError("need x_n != 0 and t != 0")
-    x = np.empty(p.n + 1, dtype=complex)
-    y = np.empty(p.n + 1, dtype=complex)
-    x[:-1] = x_last * q / t
-    x[-1] = x_last
-    y[:-1] = t * pm / x_last
-    y[-1] = -(np.sum(q * pm) + eta) / x_last
-    return x, y
+    return (np.append(x_last * q / t, x_last),
+            np.append(t * pm / x_last, -(np.sum(q * pm) + eta) / x_last))
 
 
 def log_derivative_target(p: ParameterSet, q, pm, eta, t):
@@ -275,10 +262,7 @@ APPENDIX_SYSTEMS = tuple(APPENDIX_SOURCE)
 
 def hamiltonian_appendix(which: str, p: ParameterSet, q, pm, t):
     """Value of t H for the selected canonical system."""
-    q = np.asarray(q, dtype=complex)
-    pm = np.asarray(pm, dtype=complex)
-    e = complex(p.eta)
-    a = [complex(v) for v in p.alpha]
+    e, a = p.eta, p.alpha
     if which == "p5":
         (q1,), (p1,) = q, pm
         return (q1 * (q1 - 1) * p1 * (p1 + t) - q1 * p1 * (e + a[2] - a[3])
@@ -286,8 +270,7 @@ def hamiltonian_appendix(which: str, p: ParameterSet, q, pm, t):
     if which == "p3":
         (q1,), (p1,) = q, pm
         return q1 * q1 * p1 * (p1 - 1) + (e + a[3]) * q1 * p1 + t * p1 - e * q1
-    q1, q2 = q
-    p1, p2 = pm
+    (q1, q2), (p1, p2) = q, pm
     if which == "n2r1":
         return (q1 * (q1 - 1) * p1 * (p1 + t) - (e + a[2] - a[3] - a[5]) * q1 * p1
                 + (e - a[3] - a[5]) * p1 + a[3] * t * q1
@@ -307,80 +290,101 @@ def hamiltonian_appendix(which: str, p: ParameterSet, q, pm, t):
 
 
 def appendix_a_field(which: str, p: ParameterSet, q, pm, t):
-    """(dq/dt, dp/dt) of the selected canonical system in its own time.
-
-    The gradient of t H is derived from :func:`hamiltonian_appendix`
-    itself: every canonical t H has degree at most 2 in each single
-    coordinate, where the central difference is exact at any step (see
-    :func:`_central_partials`).
-    """
+    """(dq/dt, dp/dt) of the selected canonical system in its own time, from the
+    exact gradient of :func:`hamiltonian_appendix` (see :func:`state_partials`)."""
     if t == 0:
         raise IntegrationError("canonical systems are singular at t = 0")
-    dq, dp = _central_partials(lambda a, b: hamiltonian_appendix(which, p, a, b, t), q, pm, 1.0)
+    dq, dp = state_partials(lambda a, b: hamiltonian_appendix(which, p, a, b, t), q, pm)
     return dp / t, -dq / t
 
 
 def appendix_a_map(which: str, p: ParameterSet, x, y):
     """Canonical coordinates of a symmetric state for the selected system."""
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    a = [complex(v) for v in p.alpha]
     if which == "p5":
-        return (np.array([x[0] / x[1]]),
-                np.array([-x[1] * (x[1] * y[1] + a[3]) / x[0]]))
+        return np.array([x[0] / x[1]]), np.array([-x[1] * (x[1] * y[1] + p.alpha[3]) / x[0]])
     if which == "p3":
         return np.array([x[1] / x[0]]), np.array([x[0] * y[1]])
     if which == "n2r1":
-        q = np.array([x[0] / x[1], x[0] / x[2]])
-        pm = np.array([-x[1] * (x[1] * y[1] + a[3]) / x[0],
-                       -x[2] * (x[2] * y[2] + a[5]) / x[0]])
-        return q, pm
+        return (np.array([x[0] / x[1], x[0] / x[2]]),
+                np.array([-x[1] * (x[1] * y[1] + p.alpha[3]) / x[0],
+                          -x[2] * (x[2] * y[2] + p.alpha[5]) / x[0]]))
     if which in ("n2r2", "n2r3"):
-        q = np.array([-x[1] / x[0], -x[2] / x[0]])
-        pm = np.array([1 - x[0] * y[1], -x[0] * y[2]])
-        return q, pm
+        return np.array([-x[1] / x[0], -x[2] / x[0]]), np.array([1 - x[0] * y[1], -x[0] * y[2]])
     raise ValueError(f"unknown canonical system {which!r}")
 
 
-def _central_partials(f, x, y, rel_step):
-    """Central-difference partials (df/dx_i, df/dy_i) of a state function.
+class _Dual:
+    """A value v and its derivative d, a scalar or a row of directions (forward mode:
+    Griewank & Walther, *Evaluating Derivatives*, SIAM 2008, ch. 3).  An operand that
+    is neither a dual nor a number gives NotImplemented, so numpy applies the
+    operation entrywise; ``abs`` is that of the value, for the maps' magnitude tests."""
 
-    f(x, y) returns a scalar or an array; the partials are stacked along a
-    new first axis, one row per coordinate.  Each coordinate v is stepped
-    by ``rel_step * max(1, |v|)`` in a plus and a minus copy of the state,
-    and restored once the difference is taken, so x and y are left alone.
-    Where f has degree at most 2 in v the difference is exact at any step,
-    and a step at the scale of v keeps its rounding at the scale of f.
-    """
-    plus = [np.array(x, dtype=complex), np.array(y, dtype=complex)]
-    minus = [a.copy() for a in plus]
-    grads = ([], [])
-    for k in (0, 1):
-        for i, v in enumerate(plus[k].tolist()):
-            step = rel_step * max(1.0, abs(v))
-            plus[k][i] = v + step
-            minus[k][i] = v - step
-            grads[k].append((f(*plus) - f(*minus)) / (2 * step))
-            plus[k][i] = minus[k][i] = v
-    return np.array(grads[0]), np.array(grads[1])
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d):
+        self.v, self.d = v, d
+
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v + o.v, self.d + o.d)
+        return _Dual(self.v + o, self.d) if isinstance(o, Number) else NotImplemented
+
+    def __sub__(self, o):
+        return self + -o if isinstance(o, (_Dual, Number)) else NotImplemented
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.v * o.v, self.v * o.d + o.v * self.d)
+        return _Dual(self.v * o, self.d * o) if isinstance(o, Number) else NotImplemented
+
+    def __truediv__(self, o):
+        if isinstance(o, _Dual):
+            q = self.v / o.v
+            return _Dual(q, (self.d - q * o.d) / o.v)
+        return _Dual(self.v / o, self.d / o) if isinstance(o, Number) else NotImplemented
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __rsub__(self, o):
+        return _Dual(o - self.v, -self.d)
+
+    def __rtruediv__(self, o):
+        return _Dual(o, 0) / self
+
+    def __neg__(self):
+        return _Dual(-self.v, -self.d)
+
+    def __pow__(self, k: int):
+        return _Dual(self.v ** k, k * self.v ** (k - 1) * self.d)
+
+    def __abs__(self):
+        return abs(self.v)
 
 
 def state_partials(f, x, y):
-    """Central-difference partials (df/dx_i, df/dy_i) of a state function.
+    """Exact partials (df/dx_i, df/dy_i) of a state function, by one forward-mode pass.
 
-    The relative step ``_FD_STEP`` makes the O(step^2) bias negligible for
-    the smooth rational functions used here (see :func:`_central_partials`).
+    f runs once on object arrays of :class:`_Dual` entries seeded with the rows of an
+    integer identity, every coordinate direction at once, so ``Fraction`` inputs give
+    ``Fraction`` partials; f must compute in its inputs' arithmetic.  f(x, y) returns a
+    scalar or an array; the partials are stacked along a new first axis, one per coordinate.
     """
-    return _central_partials(f, x, y, _FD_STEP)
+    v = np.concatenate((x, y)).tolist()
+    seeds = np.array([_Dual(a, d) for a, d in zip(v, np.eye(len(v), dtype=int))], dtype=object)
+    out = f(seeds[:len(x)], seeds[len(x):])
+    rows = [e.d if isinstance(e, _Dual) else np.zeros(len(v), dtype=int) for e in np.ravel(out)]
+    jac = np.array(rows).T.reshape((len(v),) + np.shape(out))
+    return jac[:len(x)], jac[len(x):]
 
 
 def pushforward_field(map_fn, field, x, y, t, flip=False):
     """Time derivative of map_fn(x, y) along the flow of ``field``.
 
-    The chain rule fx @ Jx + fy @ Jy takes the Jacobians of the map from
-    :func:`state_partials`.  ``flip`` accounts for a source flow running
-    in reversed time: the source field is evaluated at -t and the whole
-    derivative changes sign.
+    The chain rule fx @ Jx + fy @ Jy takes the exact Jacobians of the map
+    from :func:`state_partials`, so map_fn must compute in its inputs'
+    arithmetic (no ``complex()``, no ``dtype=complex``).  ``flip`` accounts
+    for a source flow running in reversed time: the source field is
+    evaluated at -t and the whole derivative changes sign.
     """
     fx, fy = field(x, y, -t if flip else t)
     Jx, Jy = state_partials(lambda a, b: np.concatenate(map_fn(a, b)), x, y)
@@ -400,19 +404,16 @@ def riccati_from_gauss(p: ParameterSet, t):
 
     if p.n != 1:
         raise ValueError("the classical chain is a rank-1 construction")
-    a1 = complex(p.alpha[1])
-    a3 = complex(p.alpha[3])
+    a1, a3 = p.alpha[1], p.alpha[3]
     if a1 == 0:
         raise ZeroDivisionError("the logarithmic-derivative map needs alpha_1 != 0")
     _, spec = branch_spec(p, 1, 0)      # prefactor 1 at level 0
     (f, fp, fpp), _ = eval_series_jet(spec, t, order=2)
     if f == 0:
         raise ZeroDivisionError(f"hypergeometric factor vanishes at t = {t}")
-    g = a3 / (t - 1.0) + fp / f
-    gp = -a3 / (t - 1.0) ** 2 + (fpp * f - fp * fp) / (f * f)
-    q = t * (1.0 - t) / a1 * g
-    dq = (1.0 - 2.0 * t) / a1 * g + t * (1.0 - t) / a1 * gp
-    return q, dq
+    t = _Dual(t, 1)                     # dq/dt by forward mode, with (f, f') and (f', f'')
+    q = t * (1 - t) / a1 * (a3 / (t - 1) + _Dual(fp, fpp) / _Dual(f, fp))
+    return q.v, q.d
 
 
 def riccati_residual(p: ParameterSet, q, dq, t):

@@ -53,9 +53,8 @@ def poisson_bracket(f, g):
     """Canonical bracket evaluator for state functions f(x, y), g(x, y).
 
     The structure constants are {x_i, y_j} = -delta_ij, so
-    {f, g} = sum_i df/dy_i dg/dx_i - df/dx_i dg/dy_i, with the partials
-    from :func:`state_partials` (exact to rounding for the polynomial and
-    rational functions used here).
+    {f, g} = sum_i df/dy_i dg/dx_i - df/dx_i dg/dy_i, with the exact partials
+    of :func:`state_partials`; f and g must compute in their inputs' arithmetic.
     """
 
     def bracket(x, y):

@@ -237,6 +237,56 @@ class TestExactCertificates:
             pm = [x[n] * yi / t for yi in y[:n]]
             assert t * (1 - t) * f[n] / x[n] == log_derivative_target(p, q, pm, p.eta, t)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_chart_carries_the_symmetric_field_to_the_coupled_field(self, n):
+        # the push-forward of the level-0 field through chart n, plus the chart's
+        # explicit d/dt (q/t, -p/t), is the coupled field at the image
+        for p, x, y, t in rational_points(n, 0, seed=900 + n):
+            p = p.with_eta(-sum(xi * yi for xi, yi in zip(x, y)))
+            q, pm, _ = symmetric_to_canonical(p, x, y, t)
+            push = pushforward_field(lambda a, b: symmetric_to_canonical(p, a, b, t)[:2],
+                                     lambda a, b, s: symmetric_field(p, a, b, s), x, y, t)
+            push = push + np.concatenate((q / t, -pm / t))
+            assert list(push) == exact_field(cp6_rhs(p), list(q) + list(pm), t)
+            assert all(type(v) is Fraction for v in push)
+
+    @pytest.mark.parametrize("which", APPENDIX_SYSTEMS)
+    def test_appendix_chart_carries_the_level_field(self, which):
+        # on the constraint, the push-forward of the level-r field through the
+        # canonical chart (source time flipped where the system says so) is its field
+        n, r, flip = APPENDIX_SOURCE[which]
+        for p, x, y, t in rational_points(n, r, seed=sum(map(ord, which))):
+            y[0] = -(p.eta + sum(xi * yi for xi, yi in zip(x[1:], y[1:]))) / x[0]
+            push = pushforward_field(lambda a, b: appendix_a_map(which, p, a, b),
+                                     lambda a, b, s: degenerate_field(p, a, b, s), x, y, t, flip=flip)
+            q, pm = appendix_a_map(which, p, x, y)
+            assert list(push) == list(np.concatenate(appendix_a_field(which, p, q, pm, t)))
+            assert all(type(v) is Fraction for v in push)
+
+    def test_maps_and_fields_keep_fraction_inputs(self):
+        """Every chart, canonical Hamiltonian and public field returns Fractions on
+        Fraction inputs, so a cast to complex fails here by name."""
+        def check(name, *parts):
+            values = [v for part in parts for v in np.ravel(np.asarray(part, dtype=object))]
+            assert all(type(v) is Fraction for v in values), name
+
+        for which in APPENDIX_SYSTEMS:
+            n, r, _ = APPENDIX_SOURCE[which]
+            for p, x, y, t in rational_points(n, r, seed=1000 + len(which), count=1):
+                check(f"hamiltonian_appendix {which}", hamiltonian_appendix(which, p, x[:n], y[:n], t))
+                check(f"appendix_a_map {which}", *appendix_a_map(which, p, x, y))
+        for n in (1, 2, 3):
+            for p, x, y, t in rational_points(n, 0, seed=1010 + n, count=1):
+                q, pm, eta = symmetric_to_canonical(p, x, y, t)
+                check("symmetric_to_canonical", q, pm, eta)
+                x2, y2 = canonical_to_symmetric(p, q, pm, eta, x[-1], t)
+                check("canonical_to_symmetric", x2, y2)
+                assert list(x2) == x and list(y2) == y
+                check("symmetric_field", *symmetric_field(p, x, y, t))
+                check("coupled_p6_field", *coupled_p6_field(p, q, pm, t))
+            for p, x, y, t in rational_points(n, n, seed=1020 + n, count=1):
+                check("degenerate_field", *degenerate_field(p, x, y, t))
+
 
 class TestCoupledField:
     def test_momentum_free_reduction_matches(self):
@@ -362,12 +412,9 @@ class TestCoordinateMaps:
             push = pushforward_field(
                 lambda xx, yy: symmetric_to_canonical(p, xx, yy, t)[:2],
                 lambda xx, yy, tt: symmetric_field(p, xx, yy, tt), x, y, t)
-            h = 1e-6
-            qp, pp, _ = symmetric_to_canonical(p, x, y, t + h)
-            qm, pn, _ = symmetric_to_canonical(p, x, y, t - h)
-            push = push + (np.concatenate((qp, pp)) - np.concatenate((qm, pn))) / (2 * h)
+            push = push + np.concatenate((q / t, -pm / t))     # the chart's explicit d/dt
             direct = np.concatenate(coupled_p6_field(p, q, pm, t))
-            assert rel_err(push, direct) < 1e-8
+            assert rel_err(push, direct) < 1e-12
 
     def test_log_derivative_identity_pointwise(self):
         p = sample_generic(2, seed=9)
@@ -454,12 +501,12 @@ class TestConfluence:
 
 class TestStatePartials:
     def test_identity_map_returning_its_argument(self):
-        # f hands back its own (stepped) input, and the caller's arrays stay put
+        # f hands back its own input, and the caller's arrays stay put
         x = np.array([0.8, -1.5, 2.0], dtype=complex)
         y = np.array([0.3, 1.1, -0.7], dtype=complex)
         x0, y0 = x.copy(), y.copy()
         Jx, Jy = state_partials(lambda a, b: a, x, y)
-        assert np.allclose(Jx, np.eye(3), atol=1e-10)
+        assert np.array_equal(Jx, np.eye(3))
         assert np.array_equal(Jy, np.zeros((3, 3)))
         assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
@@ -467,8 +514,16 @@ class TestStatePartials:
         x = np.array([0.8, -1.5], dtype=complex)
         y = np.array([0.3, 1.1], dtype=complex)
         fx, fy = state_partials(lambda a, b: a[0] ** 2 * b[1] + a[1] / b[0], x, y)
-        assert np.allclose(fx, [2 * x[0] * y[1], 1 / y[0]], rtol=1e-9)
-        assert np.allclose(fy, [-x[1] / y[0] ** 2, x[0] ** 2], rtol=1e-9)
+        assert np.allclose(fx, [2 * x[0] * y[1], 1 / y[0]], rtol=1e-15, atol=0)
+        assert np.allclose(fy, [-x[1] / y[0] ** 2, x[0] ** 2], rtol=1e-15, atol=0)
+
+    def test_fraction_partials_are_exact(self):
+        x = [Fraction(4, 5), Fraction(-3, 2)]
+        y = [Fraction(3, 10), Fraction(11, 10)]
+        fx, fy = state_partials(lambda a, b: a[0] ** 2 * b[1] + a[1] / b[0] - 2 / a[1], x, y)
+        assert list(fx) == [2 * x[0] * y[1], 1 / y[0] + 2 / x[1] ** 2]
+        assert list(fy) == [-x[1] / y[0] ** 2, x[0] ** 2]
+        assert all(type(v) is Fraction for v in (*fx, *fy))
 
 
 class TestAppendixMaps:
@@ -486,7 +541,7 @@ class TestAppendixMaps:
                 lambda xx, yy, tt: degenerate_field(p, xx, yy, tt),
                 x, y, s, flip=flip)
             direct = np.concatenate(appendix_a_field(which, p, q, pm, s))
-            assert rel_err(push, direct) < 1e-8
+            assert rel_err(push, direct) < 1e-12
 
     def test_p5_value_with_vanishing_momentum(self):
         p = sample_degenerate(1, 1, seed=91)

@@ -3,7 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cpvi.dynamics import constraint_value, integrate, symmetric_field, symmetric_rhs
+from cpvi.dynamics import (
+    constraint_value,
+    integrate,
+    pushforward_field,
+    symmetric_field,
+    symmetric_rhs,
+)
 from cpvi.params import sample_generic, sample_rational_generic
 from cpvi.symmetry import (
     SingularTransformError,
@@ -36,11 +42,11 @@ class TestPoissonBracket:
         x = np.array([0.7, -1.1], dtype=complex)
         y = np.array([0.4, 0.9], dtype=complex)
         b = poisson_bracket(coordinate("x", 0), coordinate("y", 0))
-        assert b(x, y) == pytest.approx(-1.0, abs=1e-9)
+        assert b(x, y) == -1
         b = poisson_bracket(coordinate("x", 0), coordinate("y", 1))
-        assert b(x, y) == pytest.approx(0.0, abs=1e-9)
+        assert b(x, y) == 0
         b = poisson_bracket(coordinate("y", 0), coordinate("x", 0))
-        assert b(x, y) == pytest.approx(1.0, abs=1e-9)
+        assert b(x, y) == 1
 
     def test_linearity_with_time_weight(self):
         t = 0.35
@@ -48,7 +54,7 @@ class TestPoissonBracket:
         y = np.array([0.4, 0.9], dtype=complex)
         f = lambda xx, yy: xx[1] - t * xx[0]
         b = poisson_bracket(f, coordinate("y", 0))
-        assert b(x, y) == pytest.approx(t, abs=1e-9)
+        assert b(x, y) == t
 
 
 class TestGenerators:
@@ -176,6 +182,22 @@ class TestExactCertificates:
                 assert list(x2) == x and list(y2) == y
                 assert p2.alpha == p.alpha and p2.eta == p.eta
                 assert all(type(v) is Fraction for v in (*x2, *y2, *p2.alpha, p2.eta))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_t_free_generators_map_the_field_exactly(self, n):
+        # generator i carries the level-0 field at p to the field at _transform_params(p, i)
+        p = sample_rational_generic(n, seed=90 + n).with_eta(Fraction(3, 7))
+        t = Fraction(2, 5)
+        rng = np.random.default_rng(10 + n)
+        for _ in range(3):
+            x, y = _rational_state(n, rng)
+            for i in range(1, 2 * n + 1):
+                push = pushforward_field(lambda a, b: apply_generator(i, a, b, p, t)[:2],
+                                         lambda a, b, s: symmetric_field(p, a, b, s), x, y, t)
+                xg, yg, pg = apply_generator(i, x, y, p, t)
+                assert pg == _transform_params(p, i)
+                assert list(push) == list(np.concatenate(symmetric_field(pg, xg, yg, t)))
+                assert all(type(v) is Fraction for v in push)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_parameter_action_is_an_exact_involution(self, n):
