@@ -567,8 +567,7 @@ def symmetric_rhs(p: ParameterSet):
 
 
 def degenerate_rhs(p: ParameterSet):
-    if not p.degeneracy:
-        raise ValueError("degenerate_field needs a parameter set of level 1..n+1")
+    """The flat field of the level-r system, r = p.degeneracy; level 0 is :func:`symmetric_rhs`."""
     return _kernel_rhs(_level_kernel, (*_window_weights(p), p.degeneracy))
 
 

@@ -29,11 +29,11 @@ the series solutions at t = 0:
   tables of :func:`fundamental_solution`, the prefactors of
   :func:`branch_spec` and the one-pass sums of :func:`fundamental_matrix`.
 
-The first two take parameter sets of complex entries or of Fraction
-entries.  A Fraction set is computed in Python integers: every window sum
-is an integer numerator over the lcm d of the denominators
-(:func:`params.integer_windows`), and one Fraction is formed per output
-entry.
+The first two are one loop each, in either arithmetic, and the set's
+entries pick it once: complex entries use their window sums and divide at
+once; a Fraction set computes in Python integers, every window sum an
+integer numerator over the lcm d of the denominators
+(:func:`params.integer_windows`), and forms one Fraction per entry.
 
 Exponent conventions: branch k of the system carries t^(-w_k) with
 w_k = alpha_{2k+2} + ... + alpha_{2n} + alpha_{2n+1} (window sum), the
@@ -159,11 +159,11 @@ def build_dual(p: ParameterSet) -> LinearSystem:
 
 
 def build_confluent(p: ParameterSet) -> LinearSystem:
-    """Confluent system at the parameter set's own level."""
-    if not 1 <= p.degeneracy <= p.n + 1:
-        raise ValueError("confluent system needs a parameter set of level 1..n+1")
+    """System at the parameter set's own level r: confluent for r >= 1, and
+    at r = 0 the Fuchsian system of :func:`build_fuchsian`."""
     A0, A1 = _residue_matrices(p.n, p.degeneracy, p.partial_sum)
-    return LinearSystem(p.n, _as_array(A0), _as_array(A1), "confluent", p, gauge=p.n)
+    kind = "confluent" if p.degeneracy else "fuchsian"
+    return LinearSystem(p.n, _as_array(A0), _as_array(A1), kind, p, gauge=p.n)
 
 
 def branch_exponent(p: ParameterSet, k: int):
@@ -213,7 +213,8 @@ def _require_nonzero(v, what, row=None):
 
 
 def _upper_solve(rows, rhs, pivot_shift, last=None):
-    """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A.
+    """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A;
+    returns (v, 1), the shape of :func:`_fraction_free_solve`.
 
     With ``last`` given, v[-1] is fixed to it and the last row is skipped:
     rhs 0, shift 0 and last 1 give the kernel vector of an A whose last
@@ -232,7 +233,7 @@ def _upper_solve(rows, rhs, pivot_shift, last=None):
         pivot = rows[i][i] + pivot_shift
         _require_nonzero(pivot, what, i)
         v[i] = acc / pivot
-    return v
+    return v, 1
 
 
 def _fraction_free_solve(rows, rhs, pivot_shift, last=None):
@@ -264,64 +265,51 @@ def _fraction_free_solve(rows, rhs, pivot_shift, last=None):
     return v, den
 
 
-def _integer_recurrence_vectors(A0, step, depth: int, d: int):
-    """:func:`recurrence_vectors` of a Fraction set in integers, from d A0
-    and the step matrix d (A0 - A1): x_i is kept as an integer vector over
-    one denominator, reduced by one gcd per step, and each entry becomes a
-    Fraction at the end.
-    """
-    m = len(A0)
-    x, den = _fraction_free_solve(A0, [0] * m, 0, last=1)
-    vecs = [(x, den)]
-    for i in range(depth):
-        shift = -d * i
-        rhs = [sum(a * v for a, v in zip(coeffs, x)) + shift * x[row]
-               for row, coeffs in enumerate(step)]
-        x, solved = _fraction_free_solve(A0, rhs, -d * (i + 1))
-        den *= solved
-        g = math.gcd(den, *x)
-        x = [v // g for v in x]
-        den //= g
-        vecs.append((x, den))
-    return [[Fraction(v, q) for v in x] for x, q in vecs]
-
-
 def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     """Gauge-frame coefficient vectors from the matrix recurrence.
 
     Solves A0 x_0 = 0 and (A0 - (i+1) I) x_{i+1} = (A0 - A1 - i I) x_i by
     exact back substitution, with the level-0 residue matrices of
-    ``p.shifted(2k+2)``.  A Fraction set yields exact rational vectors,
-    computed in integers: the same matrices are built from the integer
-    windows, so they are d A0 and d A1 with d the lcm of the denominators,
-    and fraction-free back substitution runs on d A0 - d(i+1) I with
-    right-hand side (d A0 - d A1 - d i I) x_i.
+    ``p.shifted(2k+2)``.  The set's entries pick the arithmetic.  Complex
+    entries give d = 1 and the dividing :func:`_upper_solve`.  A Fraction
+    set is computed in integers: the matrices are built from the integer
+    windows (:func:`params.integer_windows`), so they are d A0 and d A1
+    with d the lcm of the denominators, and :func:`_fraction_free_solve`
+    runs on d A0 - d(i+1) I with right-hand side (d A0 - d A1 - d i I) x_i.
+    Each x_i is then an integer vector over one denominator, reduced by
+    one gcd per step, and each entry becomes one Fraction.
     """
     n, s = p.n, 2 * k + 2
     exact = integer_windows(p)
     if exact is None:
-        window = p.shifted(s).partial_sum
+        d, window, solve = 1, p.shifted(s).partial_sum, _upper_solve
     else:
         d, integer_window = exact
         window = lambda first, length: integer_window(first + s, length)
+        solve = _fraction_free_solve
     A0, A1 = _residue_matrices(n, 0, window)
     # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
     step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
              for col in range(n + 1)] for row in range(n + 1)]
-    if exact is not None:
-        return _integer_recurrence_vectors(A0, step, depth, d)
-    zero = p.alpha[0] * 0
-    vecs = [_upper_solve(A0, [zero] * (n + 1), 0, last=zero + 1)]
+    zero = window(0, -1)
+    x, den = solve(A0, [zero] * (n + 1), 0, last=zero + 1)
+    steps = [(x, den)]
     for i in range(depth):
-        prev = vecs[i]
         rhs = []
         for row, coeffs in enumerate(step):
-            acc = (-i) * prev[row]
-            for a, x in zip(coeffs, prev):
-                acc = acc + a * x
+            acc = (-d * i) * x[row]
+            for a, v in zip(coeffs, x):
+                acc = acc + a * v
             rhs.append(acc)
-        vecs.append(_upper_solve(A0, rhs, -(i + 1)))
-    return vecs
+        x, solved = solve(A0, rhs, -d * (i + 1))
+        den *= solved
+        if exact is not None:
+            g = math.gcd(den, *x)
+            x, den = [v // g for v in x], den // g
+        steps.append((x, den))
+    if exact is None:
+        return [x for x, _ in steps]
+    return [[Fraction(v, q) for v in x] for x, q in steps]
 
 
 def _closed_form_components(heads, tail, prev, one):
@@ -333,32 +321,6 @@ def _closed_form_components(heads, tail, prev, one):
     # both products start from one; one * tail can differ from tail in a sign of zero
     tail_prefix = accumulate(reversed(prev), mul, initial=one * tail)
     return [h * t for h, t in zip(reversed(head_prefix), tail_prefix)]
-
-
-def _integer_closed_form_vectors(n: int, k: int, depth: int, d: int, window):
-    """:func:`closed_form_vectors` of a Fraction set in integers: u, v, s_0
-    and r_0 hold d times the window sums, and each running ratio is kept as
-    an integer numerator and denominator."""
-    u = [window(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
-    v = [window(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
-    s0, r0 = window(2 * k + 3, 2 * n), window(2 * k + 2, 2 * n + 1)
-    head_num, head_den = [1] * n, [1] * n
-    tail_num = tail_den = 1
-    vecs = []
-    for i in range(depth + 1):
-        prev_num, prev_den = head_num[:], head_den[:]
-        for j in range(n):
-            den = v[j] + d * i
-            _require_nonzero(den, "head window rising factorial")
-            head_num[j] *= u[j] + d * i
-            head_den[j] *= den
-        if i:
-            tail_num *= s0 + d * (i - 1)
-            tail_den *= r0 + d * (i - 1)
-        vecs.append([Fraction(a, b) for a, b in
-                     zip(_closed_form_components(head_num, tail_num, prev_num, 1),
-                         _closed_form_components(head_den, tail_den, prev_den, 1))])
-    return vecs
 
 
 def closed_form_vectors(p: ParameterSet, k: int, depth: int):
@@ -384,31 +346,41 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
     first m+1 tail ratios, so the cost is O(depth * n) products instead of
     rebuilding every rising factorial.  Each head denominator factor is
     checked for resonance, which covers the tail factors j >= 1 too, and
-    r_0 + i is never 0.  A Fraction set yields exact rational vectors,
-    computed in integers: each running ratio is an integer numerator and
-    denominator, advanced by the factors d u_j + d i and d v_j + d i, d
-    the lcm of the denominators.
+    r_0 + i is never 0.
+
+    The set's entries pick the arithmetic.  Complex entries divide each
+    ratio by its factor at once.  A Fraction set is computed in integers:
+    the windows are d times the window sums (:func:`params.integer_windows`,
+    d the lcm of the denominators), each ratio is an integer numerator and
+    denominator advanced by the factors d u_j + d i and d v_j + d i, and
+    each entry becomes one Fraction.
     """
     n = p.n
     exact = integer_windows(p)
-    if exact is not None:
-        return _integer_closed_form_vectors(n, k, depth, *exact)
-    one = p.alpha[0] * 0 + 1
-    heads_num = [p.partial_sum(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
-    heads_den = [p.partial_sum(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
-    tail_num, tail_den = p.partial_sum(2 * k + 3, 2 * n), p.partial_sum(2 * k + 2, 2 * n + 1)
-    heads = [one] * n
-    tail = one
+    d, window = (1, p.partial_sum) if exact is None else exact
+    one = window(0, -1) + 1
+    u = [window(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
+    v = [window(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
+    s0, r0 = window(2 * k + 3, 2 * n), window(2 * k + 2, 2 * n + 1)
+    if exact is None:
+        advance = lambda num, den: (num / den, one)
+    else:
+        advance = lambda num, den: (num, den)
+    head_num, head_den = [one] * n, [one] * n
+    tail_num = tail_den = one
     vecs = []
     for i in range(depth + 1):
-        prev = heads[:]
+        prev_num, prev_den = head_num[:], head_den[:]
         for j in range(n):
-            den = heads_den[j] + i
+            den = v[j] + d * i
             _require_nonzero(den, "head window rising factorial")
-            heads[j] = heads[j] * (heads_num[j] + i) / den
+            head_num[j], head_den[j] = advance(head_num[j] * (u[j] + d * i), head_den[j] * den)
         if i:
-            tail = tail * (tail_num + (i - 1)) / (tail_den + (i - 1))
-        vecs.append(_closed_form_components(heads, tail, prev, one))
+            tail_num, tail_den = advance(tail_num * (s0 + d * (i - 1)),
+                                         tail_den * (r0 + d * (i - 1)))
+        nums = _closed_form_components(head_num, tail_num, prev_num, one)
+        vecs.append(nums if exact is None else [Fraction(a, b) for a, b in zip(
+            nums, _closed_form_components(head_den, tail_den, prev_den, one))])
     return vecs
 
 
@@ -464,10 +436,6 @@ class SeriesSolution:
         return out
 
 
-def _to_coeff_array(vecs) -> np.ndarray:
-    return np.array([[complex(v) for v in vec] for vec in vecs], dtype=complex)
-
-
 def solve_recurrence(sys_k: LinearSystem, depth: int) -> SeriesSolution:
     """Analytic-branch series of a gauged system via the matrix recurrence.
 
@@ -484,7 +452,7 @@ def solve_recurrence(sys_k: LinearSystem, depth: int) -> SeriesSolution:
     return SeriesSolution(
         k=k,
         exponent=complex(branch_exponent(sys_k.params, k)),
-        coeffs=_to_coeff_array(vecs),
+        coeffs=_as_array(vecs),
     )
 
 
@@ -494,7 +462,7 @@ def closed_form_coeffs(p: ParameterSet, k: int, depth: int) -> SeriesSolution:
     return SeriesSolution(
         k=k,
         exponent=complex(branch_exponent(p, k)),
-        coeffs=_to_coeff_array(vecs),
+        coeffs=_as_array(vecs),
     )
 
 

@@ -27,6 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 SUM_TOL = 1e-12
+_SAMPLE_ATTEMPTS = 5000     # rejection draws before the constructive draw
 
 
 class SamplingError(RuntimeError):
@@ -203,23 +204,21 @@ def _window_distances(p: ParameterSet):
         yield _dist_to_int(sum(p.alpha[1::2], p.alpha[0] * 0))
 
 
-def sample_generic(n: int, seed: int, margin: float = 0.05,
-                   max_attempts: int = 5000) -> ParameterSet:
+def sample_generic(n: int, seed: int, margin: float = 0.05) -> ParameterSet:
     """Draw a real generic set with all non-resonance margins >= ``margin``.
 
     Deterministic in ``seed``; raises :class:`SamplingError` if the margin
     cannot be met (see :func:`sample_degenerate`).  This is
     :func:`sample_degenerate` at level 0.
     """
-    return sample_degenerate(n, 0, seed, margin, max_attempts)
+    return sample_degenerate(n, 0, seed, margin)
 
 
-def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
-                      max_attempts: int = 5000) -> ParameterSet:
+def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05) -> ParameterSet:
     """Draw a real set of level r (0 generic) with the window margins enforced.
 
     alpha_0, alpha_2, ..., alpha_{2r-2} are zero; the other entries are
-    drawn uniformly and shifted to sum to 1, up to ``max_attempts`` times.
+    drawn uniformly and shifted to sum to 1, up to ``_SAMPLE_ATTEMPTS`` times.
     If no draw meets the margin, one constructive draw follows
     (:func:`_constructive_draw`); :class:`SamplingError` is raised only
     when that cannot meet it either.
@@ -229,7 +228,7 @@ def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
     rng = np.random.default_rng(seed)
     m = 2 * n + 2
     free = [i for i in range(m) if i % 2 == 1 or i >= 2 * r]
-    for _ in range(max_attempts):
+    for _ in range(_SAMPLE_ATTEMPTS):
         alpha = np.zeros(m)
         draw = rng.uniform(-0.45, 0.75, len(free))
         draw += (1.0 - draw.sum()) / len(free)
@@ -242,7 +241,7 @@ def sample_degenerate(n: int, r: int, seed: int, margin: float = 0.05,
     if p is not None and all(d >= margin for d in _window_distances(p)):
         return p
     raise SamplingError(
-        f"no level-{r} set with margin {margin} after {max_attempts} attempts (n={n})")
+        f"no level-{r} set with margin {margin} after {_SAMPLE_ATTEMPTS} attempts (n={n})")
 
 
 def _constructive_draw(n: int, r: int, margin: float, rng):

@@ -55,12 +55,13 @@ def poisson_bracket(f, g):
     The structure constants are {x_i, y_j} = -delta_ij, so
     {f, g} = sum_i df/dy_i dg/dx_i - df/dx_i dg/dy_i, with the exact partials
     of :func:`state_partials`; f and g must compute in their inputs' arithmetic.
+    The bracket is a Python scalar in the arithmetic of the partials.
     """
 
     def bracket(x, y):
         fx, fy = state_partials(f, x, y)
         gx, gy = state_partials(g, x, y)
-        return complex(np.sum(fy * gx - fx * gy))
+        return sum((fy * gx - fx * gy).tolist())
 
     return bracket
 

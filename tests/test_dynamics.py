@@ -122,7 +122,6 @@ class TestGradientOracles:
         """Every confluence level r = 0..n+1 against :func:`hamiltonian_level`;
         level 0 is the symmetric form."""
         p = kernel_set(n, seed=10 + n) if r == 0 else sample_degenerate(n, r, seed=20 + n + r)
-        field = degenerate_field if r else symmetric_field
         rng = np.random.default_rng(300 + 10 * n + r)
         for i in range(10):
             x = rng.uniform(0.4, 1.5, n + 1).astype(complex)
@@ -131,7 +130,7 @@ class TestGradientOracles:
                 t = rng.uniform(0.15, 0.85)
             else:
                 t = rng.uniform(0.3, 1.8) if i < 9 else 1.0     # t = 1 is regular at r >= 1
-            dtx, dty = field_gradients(lambda a, b: field(p, a, b, t), x, y, t)
+            dtx, dty = field_gradients(lambda a, b: degenerate_field(p, a, b, t), x, y, t)
             assert rel_err(dtx, stencil_grad(lambda v: t * hamiltonian_level(p, v, y, t), x)) < 1e-12
             assert rel_err(dty, stencil_grad(lambda v: t * hamiltonian_level(p, x, v, t), y)) < 1e-12
 
@@ -179,10 +178,6 @@ def exact_field(rhs, v, t):
     return rhs(t, np.array(v, dtype=object)).tolist()
 
 
-def level_rhs(p):
-    return degenerate_rhs(p) if p.degeneracy else symmetric_rhs(p)
-
-
 ALL_LEVELS = [(n, r) for n in (1, 2, 3, 4) for r in range(n + 2)]
 
 
@@ -196,7 +191,7 @@ class TestExactCertificates:
     def test_kernel_is_gradient_of_level_hamiltonian(self, n, r):
         # t * field = (d(tH)/dy, -d(tH)/dx); the stencil is exact at degree <= 4
         for p, x, y, t in rational_points(n, r, seed=400 + 10 * n + r):
-            f = exact_field(level_rhs(p), x + y, t)
+            f = exact_field(degenerate_rhs(p), x + y, t)
             assert [t * v for v in f[:n + 1]] == stencil_grad(lambda b: t * hamiltonian_level(p, x, b, t), y)
             assert [-t * v for v in f[n + 1:]] == stencil_grad(lambda a: t * hamiltonian_level(p, a, y, t), x)
 
@@ -217,14 +212,14 @@ class TestExactCertificates:
             c1 = 1 if r else 1 / (1 - t)
             want = [sum((a0 / t + a1 * c1) * xj for a0, a1, xj in zip(row0, row1, x))
                     for row0, row1 in zip(A0, A1)]
-            f = exact_field(level_rhs(p), x + [Fraction(0)] * (n + 1), t)
+            f = exact_field(degenerate_rhs(p), x + [Fraction(0)] * (n + 1), t)
             assert f[:n + 1] == want
             assert f[n + 1:] == [0] * (n + 1)
 
     @pytest.mark.parametrize("n,r", ALL_LEVELS)
     def test_constraint_is_conserved(self, n, r):
         for p, x, y, t in rational_points(n, r, seed=700 + 10 * n + r):
-            f = exact_field(level_rhs(p), x + y, t)
+            f = exact_field(degenerate_rhs(p), x + y, t)
             assert sum(xi * fy + yi * fx for xi, yi, fx, fy in zip(x, y, f, f[n + 1:])) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -453,10 +448,7 @@ class TestConfluence:
         x_old, y_old = x.copy(), y.copy()
         x_old[: r - 1] /= eps
         y_old[: r - 1] *= eps
-        if r == 1:
-            fx, fy = symmetric_field(src_params, x_old, y_old, eps * t)
-        else:
-            fx, fy = degenerate_field(src_params, x_old, y_old, eps * t)
+        fx, fy = degenerate_field(src_params, x_old, y_old, eps * t)
         gx = eps * fx
         gx[: r - 1] *= eps
         gy = eps * fy
@@ -785,9 +777,13 @@ class TestFlatAdapters:
         want = sys.coefficient(0.4) @ v
         assert np.linalg.norm(linear_rhs(sys)(0.4, v) - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_confluent_adapter_rejects_generic_set(self):
+    def test_confluent_adapter_at_level_zero_is_symmetric(self):
+        # a generic set is level 0 of the confluence chain: the same kernel, the same bytes
         p = sample_generic(2, seed=62)
-        with pytest.raises(ValueError):
-            degenerate_rhs(p)(0.5, np.ones(6, dtype=complex))
-        with pytest.raises(ValueError):
-            degenerate_field(p, np.ones(3), np.ones(3), 0.5)
+        rng = np.random.default_rng(92)
+        x = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        y = rng.uniform(-1, 1, 3) + 1j * rng.uniform(-1, 1, 3)
+        v = np.concatenate((x, y))
+        assert degenerate_rhs(p)(0.5, v).tobytes() == symmetric_rhs(p)(0.5, v).tobytes()
+        for got, want in zip(degenerate_field(p, x, y, 0.5), symmetric_field(p, x, y, 0.5)):
+            assert got.tobytes() == want.tobytes()

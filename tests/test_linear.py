@@ -116,9 +116,10 @@ class TestBuilders:
         assert np.allclose(sys.A1[:, 0], 1.0)
         assert np.allclose(sys.A1[:, 1:], 0.0)
 
-    def test_confluent_requires_degenerate_set(self):
-        with pytest.raises(ValueError):
-            build_confluent(P_N1)
+    def test_confluent_at_level_zero_is_fuchsian(self):
+        sys, want = build_confluent(P_N1), build_fuchsian(P_N1)
+        assert sys.kind == want.kind == "fuchsian"
+        assert sys.A0.tobytes() == want.A0.tobytes() and sys.A1.tobytes() == want.A1.tobytes()
 
     def test_json_shape(self):
         data = system_to_json(build_fuchsian(P_N1))
@@ -135,11 +136,7 @@ def _confluence_matrix_error(p, r, eps, t):
     """Distance between the level-r coefficient matrix and the rescaled
     level-(r-1) one at finite eps."""
     target = build_confluent(p)
-    source_params = degenerate_replace(p.with_degeneracy(r - 1), eps)
-    if r == 1:
-        src = build_fuchsian(source_params)
-    else:
-        src = build_confluent(source_params)
+    src = build_confluent(degenerate_replace(p.with_degeneracy(r - 1), eps))
     S = _scaling(p.n, r, eps)
     M_eps = eps * np.linalg.inv(S) @ src.coefficient(eps * t) @ S
     return np.linalg.norm(M_eps - target.coefficient(t))
@@ -394,6 +391,32 @@ class TestExactOracles:
                 assert lhs == rhs
             for depth in range(10):
                 assert recurrence_vectors(p, k, depth) == full[:depth + 1]
+
+
+def _complex_copy(p):
+    return ParameterSet(p.n, tuple(complex(a) for a in p.alpha), complex(p.eta), p.degeneracy)
+
+
+class TestArithmetics:
+    """Each route is one loop for both arithmetics; the set's entries pick it."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_float_route_matches_exact_route(self, n):
+        p = sample_rational_generic(n, seed=80 + n)
+        for route in (recurrence_vectors, closed_form_vectors):
+            for k in range(n + 1):
+                exact = np.array([[complex(v) for v in vec] for vec in route(p, k, 12)])
+                approx = np.array(route(_complex_copy(p), k, 12))
+                scale = np.max(np.abs(exact), axis=1, keepdims=True)
+                assert np.max(np.abs(approx - exact) / scale) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_entries_are_in_the_sets_arithmetic(self, n):
+        p = sample_rational_generic(n, seed=90 + n)
+        for route in (recurrence_vectors, closed_form_vectors):
+            for k in range(n + 1):
+                assert all(type(v) is Fraction for vec in route(p, k, 6) for v in vec)
+                assert all(type(v) is complex for vec in route(_complex_copy(p), k, 6) for v in vec)
 
 
 def _perturb_largest(sol, rel=1e-6):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cpvi import params
 from cpvi.params import (
     ParameterSet,
     SamplingError,
@@ -132,9 +133,10 @@ class TestSampling:
     def test_generic_is_level_zero(self, n, seed):
         assert sample_generic(n, seed) == sample_degenerate(n, 0, seed)
 
-    def test_unreasonable_margin_fails(self):
+    def test_unreasonable_margin_fails(self, monkeypatch):
+        monkeypatch.setattr(params, "_SAMPLE_ATTEMPTS", 50)
         with pytest.raises(SamplingError):
-            sample_generic(2, seed=1, margin=0.49, max_attempts=50)
+            sample_generic(2, seed=1, margin=0.49)
 
     def test_rank_8_at_default_margin(self):
         # the rejection loop fails here; the constructive draw meets the margin
@@ -169,18 +171,19 @@ class TestSampling:
         return 1.0 / ((n + 1) + (n + 1 - r) / 2)
 
     @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 5) for r in range(n + 2)])
-    def test_constructive_draw_meets_feasible_margin(self, n, r):
+    def test_constructive_draw_meets_feasible_margin(self, n, r, monkeypatch):
+        monkeypatch.setattr(params, "_SAMPLE_ATTEMPTS", 1)
         margin = 0.95 * self.feasible_margin(n, r)
-        p = sample_degenerate(n, r, seed=3, margin=margin, max_attempts=1)
+        p = sample_degenerate(n, r, seed=3, margin=margin)
         assert p.degeneracy == r and all(p.alpha[2 * i] == 0 for i in range(r))
         assert abs(sum(p.alpha) - 1.0) < 1e-12
         assert genericity_margin(p) >= margin
 
     @pytest.mark.parametrize("n,r", [(1, 0), (2, 1), (3, 4)])
-    def test_infeasible_margin_still_fails(self, n, r):
+    def test_infeasible_margin_still_fails(self, n, r, monkeypatch):
+        monkeypatch.setattr(params, "_SAMPLE_ATTEMPTS", 1)
         with pytest.raises(SamplingError):
-            sample_degenerate(n, r, seed=3, margin=1.05 * self.feasible_margin(n, r),
-                              max_attempts=1)
+            sample_degenerate(n, r, seed=3, margin=1.05 * self.feasible_margin(n, r))
 
     @pytest.mark.parametrize("n,r", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 2)])
     def test_degenerate_sets(self, n, r):

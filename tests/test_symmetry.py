@@ -56,6 +56,13 @@ class TestPoissonBracket:
         b = poisson_bracket(f, coordinate("y", 0))
         assert b(x, y) == t
 
+    def test_fraction_partials_give_a_fraction(self):
+        x = [Fraction(2, 3), Fraction(-5, 7)]
+        y = [Fraction(1, 4), Fraction(3, 11)]
+        b = poisson_bracket(lambda xx, yy: xx[0] * yy[1], lambda xx, yy: xx[1] * yy[0])(x, y)
+        # {x0 y1, x1 y0} = x0 y0 - y1 x1
+        assert type(b) is Fraction and b == Fraction(2, 3) * Fraction(1, 4) + Fraction(15, 77)
+
 
 class TestGenerators:
     def setup_method(self):
