@@ -11,11 +11,11 @@ Three families of flows live here:
   (q_1..q_n, p_1..p_n), with time scaled by t(t-1): the level-0 kernel
   in chart n, q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t, eta = -sum(x_i y_i)
   (see :func:`cp6_rhs`);
-* the five low-rank canonical systems (fifth and third Painleve for
-  rank 1, three rank-2 confluences), each written in its own natural
-  time variable so the sign flips of the source chain are absorbed in
-  the coordinate-map checks, not in the fields derived from their
-  Hamiltonians.
+* the canonical systems of the confluence chain: at every rank n, one
+  formula and one chart for level 1 (a coupled fifth Painleve system) and
+  one for all levels r >= 2, plus the rank-1 third Painleve system with
+  its own chart (see :func:`hamiltonian_appendix`); each is written in
+  its own time, and its chart takes the source field in flipped time.
 
 A kernel is the field: a hand-written polynomial gradient of the
 Hamiltonian, divided by the time factor, as a scalar loop.  It raises
@@ -115,12 +115,6 @@ def coupled_p6_field(p: ParameterSet, q, pm, t):
     """(dq/dt, dp/dt): the canonical field divided by t(t-1), which is the symmetric
     field in chart n, q_i = t x_{i-1}/x_n, p_i = x_n y_{i-1}/t (see :func:`cp6_rhs`)."""
     return _split_field(cp6_rhs(p), q, pm, t)
-
-
-def riccati_rhs(p: ParameterSet, q, t):
-    """Right-hand side of t(t-1) q' for the rank-1 momentum-free reduction."""
-    a0, a1, _, a3 = p.alpha
-    return a1 * q * q + ((a3 + a0) * t - (a0 + a1)) * q - a3 * t
 
 
 # ----------------------------------------------------------------------
@@ -247,9 +241,9 @@ def log_derivative_target(p: ParameterSet, q, pm, eta, t):
 
 
 # ----------------------------------------------------------------------
-# low-rank canonical systems (fifth/third Painleve and the rank-2 chain)
+# canonical systems of the confluence chain (levels >= 1, every rank)
 
-# (rank, confluence level, source time carries a sign flip)
+# the five named systems: (rank, confluence level, source time flipped)
 APPENDIX_SOURCE = {
     "p5": (1, 1, True),
     "p3": (1, 2, False),
@@ -260,33 +254,46 @@ APPENDIX_SOURCE = {
 APPENDIX_SYSTEMS = tuple(APPENDIX_SOURCE)
 
 
+def _canonical_level(which: str, p: ParameterSet) -> int:
+    """p's level r >= 1, once ``which`` names it: an APPENDIX_SOURCE key or n<p.n>r<r>."""
+    n, r = p.n, p.degeneracy
+    if not r or APPENDIX_SOURCE.get(which, (0, 0))[:2] != (n, r) and which != f"n{n}r{r}":
+        raise ValueError(f"{which!r} names no canonical system of rank {n} at level {r}")
+    return r
+
+
 def hamiltonian_appendix(which: str, p: ParameterSet, q, pm, t):
-    """Value of t H for the selected canonical system."""
-    e, a = p.eta, p.alpha
-    if which == "p5":
-        (q1,), (p1,) = q, pm
-        return (q1 * (q1 - 1) * p1 * (p1 + t) - q1 * p1 * (e + a[2] - a[3])
-                + (e - a[3]) * p1 + t * a[3] * q1)
+    """t H of the canonical system ``which`` at level r = p.degeneracy; i, j = 1..n.
+
+    P_III (``p3``): t H = q^2 p (p - 1) + (eta + alpha_3) q p + t p - eta q.
+    Level 1, a coupled P_V: t H = sum_i [q_i (q_i - 1) p_i (p_i + t) - (eta + alpha_2 + ...
+    + alpha_{2i} - L_i) q_i p_i + (eta - L_i) p_i + alpha_{2i+1} t q_i]
+    + sum_{i<j} (q_i - 1) p_j (p_i (q_i + q_j) + alpha_{2i+1}), L_i = alpha_{2i+1} + alpha_{2i+3}
+    + ... + alpha_{2n+1}.  Levels r >= 2: with P = (p_1 - 1, p_2, ..., p_n), u_i = q_i P_i,
+    U = sum u_i, s_j = q_j (u_j + alpha_{2j+1}) and b_i the window sums of :func:`_window_weights`,
+    t H = (U^2 + sum u_i^2)/2 + (eta + 1 - alpha_1 + q_1) U - sum b_i u_i + eta q_1
+          + sum_{i<r-1} q_{i+1} P_i + sum_{i>=r-1} (t p_i + P_i sum_{j>i} s_j).
+    """
+    r = _canonical_level(which, p)
+    e, (big, odd) = p.eta, _window_weights(p)
     if which == "p3":
         (q1,), (p1,) = q, pm
-        return q1 * q1 * p1 * (p1 - 1) + (e + a[3]) * q1 * p1 + t * p1 - e * q1
-    (q1, q2), (p1, p2) = q, pm
-    if which == "n2r1":
-        return (q1 * (q1 - 1) * p1 * (p1 + t) - (e + a[2] - a[3] - a[5]) * q1 * p1
-                + (e - a[3] - a[5]) * p1 + a[3] * t * q1
-                + (q1 - 1) * p1 * q2 * p2 + (q1 - 1) * (q1 * p1 + a[3]) * p2
-                + q2 * (q2 - 1) * p2 * (p2 + t) - (e + a[2] + a[4] - a[5]) * q2 * p2
-                + (e - a[5]) * p2 + a[5] * t * q2)
-    if which == "n2r2":
-        return (q1 * q1 * p1 * (p1 - 1) + (e + a[3]) * q1 * p1 + t * p1 - a[3] * q1
-                + q1 * p1 * q2 * p2 + p1 * q2 * (q2 * p2 + a[5])
-                + q2 * q2 * p2 * (p2 - 1) + (e + a[3] + a[4] + a[5]) * q2 * p2
-                + t * p2 - a[5] * q2)
-    if which == "n2r3":
-        return (q1 * q1 * p1 * (p1 - 1) + (e + a[3]) * q1 * p1 - a[3] * q1
-                + q1 * p1 * q2 * p2 + p1 * q2
-                + q2 * q2 * p2 * p2 + (e + a[3] + a[5]) * q2 * p2 + t * p2 - q2)
-    raise ValueError(f"unknown canonical system {which!r}")
+        return q1 * q1 * p1 * (p1 - 1) + (e + odd[1]) * q1 * p1 + t * p1 - e * q1
+    if r == 1:
+        th, k = 0, e                                  # k = eta + alpha_2 + ... + alpha_{2i}
+        for i, (qi, pi, oi) in enumerate(zip(q, pm, odd[1:])):
+            k, low = k + p.alpha[2 * i + 2], sum(odd[i + 1:])      # low = L_i
+            th += (qi * (qi - 1) * pi * (pi + t) - (k - low) * qi * pi + (e - low) * pi
+                   + oi * t * qi + sum((qi - 1) * pj * (pi * (qi + qj) + oi)
+                                       for qj, pj in zip(q[i + 1:], pm[i + 1:])))
+        return th
+    P = [pm[0] - 1, *pm[1:]]
+    u = [qi * Pi for qi, Pi in zip(q, P)]
+    s = [qi * (ui + oi) for qi, ui, oi in zip(q, u, odd[1:])]
+    U = sum(u)
+    th = ((U * U + sum(ui * ui for ui in u)) / 2 + (e + 1 - odd[0] + q[0]) * U + e * q[0]
+          - sum(bi * ui for bi, ui in zip(big[1:], u)) + sum(q[i + 1] * P[i] for i in range(r - 2)))
+    return th + sum(t * pm[i] + P[i] * sum(s[i + 1:]) for i in range(r - 2, p.n))
 
 
 def appendix_a_field(which: str, p: ParameterSet, q, pm, t):
@@ -299,18 +306,21 @@ def appendix_a_field(which: str, p: ParameterSet, q, pm, t):
 
 
 def appendix_a_map(which: str, p: ParameterSet, x, y):
-    """Canonical coordinates of a symmetric state for the selected system."""
-    if which == "p5":
-        return np.array([x[0] / x[1]]), np.array([-x[1] * (x[1] * y[1] + p.alpha[3]) / x[0]])
+    """(q, p) of a level-r symmetric state for the system ``which``; i = 1..n.
+
+    P_III (``p3``, source time as is): q = x_1/x_0, p = x_0 y_1.  The other charts take the
+    level-r field in flipped source time.  Level 1: q_i = x_0/x_i, p_i = -x_i (x_i y_i
+    + alpha_{2i+1})/x_0.  Levels r >= 2: q_i = -x_i/x_0, p_1 = 1 - x_0 y_1, p_i = -x_0 y_i.
+    """
+    r = _canonical_level(which, p)
+    x0, xs, ys = x[0], x[1:], y[1:]
     if which == "p3":
-        return np.array([x[1] / x[0]]), np.array([x[0] * y[1]])
-    if which == "n2r1":
-        return (np.array([x[0] / x[1], x[0] / x[2]]),
-                np.array([-x[1] * (x[1] * y[1] + p.alpha[3]) / x[0],
-                          -x[2] * (x[2] * y[2] + p.alpha[5]) / x[0]]))
-    if which in ("n2r2", "n2r3"):
-        return np.array([-x[1] / x[0], -x[2] / x[0]]), np.array([1 - x[0] * y[1], -x[0] * y[2]])
-    raise ValueError(f"unknown canonical system {which!r}")
+        return np.array([xs[0] / x0]), np.array([x0 * ys[0]])
+    if r == 1:
+        return (np.array([x0 / xi for xi in xs]),
+                np.array([-xi * (xi * yi + oi) / x0 for xi, yi, oi in zip(xs, ys, p.alpha[3::2])]))
+    return (np.array([-xi / x0 for xi in xs]),
+            np.array([1 - x0 * ys[0], *(-x0 * yi for yi in ys[1:])]))
 
 
 class _Dual:
@@ -397,8 +407,8 @@ def pushforward_field(map_fn, field, x, y, t, flip=False):
 
 
 def riccati_from_gauss(p: ParameterSet, t):
-    """(q, dq/dt) built from the logarithmic derivative of the rank-1
-    hypergeometric solution; q then solves the momentum-free reduction."""
+    """(q, dq/dt) built from the logarithmic derivative of the rank-1 hypergeometric
+    solution; q then solves the momentum-free reduction, :func:`coupled_p6_field` at p = 0."""
     from .hyperfn import eval_series_jet
     from .linear import branch_spec
 
@@ -414,13 +424,6 @@ def riccati_from_gauss(p: ParameterSet, t):
     t = _Dual(t, 1)                     # dq/dt by forward mode, with (f, f') and (f', f'')
     q = t * (1 - t) / a1 * (a3 / (t - 1) + _Dual(fp, fpp) / _Dual(f, fp))
     return q.v, q.d
-
-
-def riccati_residual(p: ParameterSet, q, dq, t):
-    """Defect of (q, dq) in the momentum-free reduction, relative."""
-    lhs = t * (t - 1.0) * dq
-    rhs = riccati_rhs(p, q, t)
-    return abs(lhs - rhs) / max(1.0, abs(q) ** 2)
 
 
 # ----------------------------------------------------------------------
@@ -583,10 +586,8 @@ def cp6_rhs(p: ParameterSet):
 
 
 def appendix_rhs(which: str, p: ParameterSet):
-    m = APPENDIX_SOURCE[which][0]
-
     def rhs(t, v):
-        return np.concatenate(appendix_a_field(which, p, v[:m], v[m:], t))
+        return np.concatenate(appendix_a_field(which, p, v[:p.n], v[p.n:], t))
 
     return rhs
 

@@ -296,18 +296,17 @@ def sample_rational_generic(n: int, seed: int) -> ParameterSet:
 def degenerate_replace(p: ParameterSet, eps) -> ParameterSet:
     """Substitute the pair of entries that the next confluence step removes.
 
-    For a level-s set (s = 0 generic) the substitution targets slots 2s and
-    2s+1: alpha_{2s} -> -1/eps and alpha_{2s+1} -> alpha_{2s+1} + 1/eps.
-    On chain inputs the erased slot holds 0 (a level-(s+1) set read at
-    level s), so the inserted terms cancel and sum(alpha) is unchanged;
-    the result is the finite-eps source system whose eps -> 0 limit is the
-    level-(s+1) Hamiltonian.
+    For a level-s set (s = 0 generic) the substitution targets slots 2s and 2s+1:
+    alpha_{2s} -> -1/eps and alpha_{2s+1} -> alpha_{2s+1} + 1/eps, in the arithmetic of
+    the set and eps (a ``Fraction`` set and eps give a ``Fraction`` set).  On chain inputs
+    the erased slot holds 0 (a level-(s+1) set read at level s), so the inserted terms
+    cancel and sum(alpha) is unchanged; the result is the finite-eps source system whose
+    eps -> 0 limit is the level-(s+1) Hamiltonian.
     """
-    eps = complex(eps)
     if eps == 0:
         raise ValueError("eps must be nonzero")
     s = p.degeneracy
     alpha = list(p.alpha)
-    alpha[2 * s] = -1.0 / eps
-    alpha[2 * s + 1] = complex(alpha[2 * s + 1]) + 1.0 / eps
+    alpha[2 * s] = alpha[2 * s] * 0 - 1 / eps        # * 0 keeps the entry's arithmetic
+    alpha[2 * s + 1] = alpha[2 * s + 1] + 1 / eps
     return ParameterSet(p.n, tuple(alpha), p.eta, s)

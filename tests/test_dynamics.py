@@ -25,8 +25,6 @@ from cpvi.dynamics import (
     log_derivative_target,
     pushforward_field,
     riccati_from_gauss,
-    riccati_residual,
-    riccati_rhs,
     state_partials,
     symmetric_field,
     symmetric_rhs,
@@ -179,6 +177,18 @@ def exact_field(rhs, v, t):
 
 
 ALL_LEVELS = [(n, r) for n in (1, 2, 3, 4) for r in range(n + 2)]
+# the five named canonical systems, then the other rank-n instances n<N>r<R> of both
+# formulas (the rank-2 names are already n2r1, n2r2 and n2r3)
+CANONICAL_NAMES = APPENDIX_SYSTEMS + tuple(name for name in (f"n{n}r{r}" for n, r in LEVELS)
+                                           if name not in APPENDIX_SOURCE)
+
+
+def canonical_source(which):
+    """(rank, level, source time flipped) of a canonical system name; n<N>r<R> flips."""
+    if which in APPENDIX_SOURCE:
+        return APPENDIX_SOURCE[which]
+    n, r = map(int, which[1:].split("r"))
+    return n, r, True
 
 
 class TestExactCertificates:
@@ -245,11 +255,11 @@ class TestExactCertificates:
             assert list(push) == exact_field(cp6_rhs(p), list(q) + list(pm), t)
             assert all(type(v) is Fraction for v in push)
 
-    @pytest.mark.parametrize("which", APPENDIX_SYSTEMS)
+    @pytest.mark.parametrize("which", CANONICAL_NAMES)
     def test_appendix_chart_carries_the_level_field(self, which):
         # on the constraint, the push-forward of the level-r field through the
         # canonical chart (source time flipped where the system says so) is its field
-        n, r, flip = APPENDIX_SOURCE[which]
+        n, r, flip = canonical_source(which)
         for p, x, y, t in rational_points(n, r, seed=sum(map(ord, which))):
             y[0] = -(p.eta + sum(xi * yi for xi, yi in zip(x[1:], y[1:]))) / x[0]
             push = pushforward_field(lambda a, b: appendix_a_map(which, p, a, b),
@@ -283,13 +293,85 @@ class TestExactCertificates:
                 check("degenerate_field", *degenerate_field(p, x, y, t))
 
 
+def hand_hamiltonian(which, p, q, pm, t):
+    """t H of the five named systems, written out term by term: the reference the
+    rank-n formulas of :func:`hamiltonian_appendix` are held to."""
+    e, a = p.eta, p.alpha
+    if which == "p5":
+        (q1,), (p1,) = q, pm
+        return (q1 * (q1 - 1) * p1 * (p1 + t) - q1 * p1 * (e + a[2] - a[3])
+                + (e - a[3]) * p1 + t * a[3] * q1)
+    if which == "p3":
+        (q1,), (p1,) = q, pm
+        return q1 * q1 * p1 * (p1 - 1) + (e + a[3]) * q1 * p1 + t * p1 - e * q1
+    (q1, q2), (p1, p2) = q, pm
+    if which == "n2r1":
+        return (q1 * (q1 - 1) * p1 * (p1 + t) - (e + a[2] - a[3] - a[5]) * q1 * p1
+                + (e - a[3] - a[5]) * p1 + a[3] * t * q1
+                + (q1 - 1) * p1 * q2 * p2 + (q1 - 1) * (q1 * p1 + a[3]) * p2
+                + q2 * (q2 - 1) * p2 * (p2 + t) - (e + a[2] + a[4] - a[5]) * q2 * p2
+                + (e - a[5]) * p2 + a[5] * t * q2)
+    if which == "n2r2":
+        return (q1 * q1 * p1 * (p1 - 1) + (e + a[3]) * q1 * p1 + t * p1 - a[3] * q1
+                + q1 * p1 * q2 * p2 + p1 * q2 * (q2 * p2 + a[5])
+                + q2 * q2 * p2 * (p2 - 1) + (e + a[3] + a[4] + a[5]) * q2 * p2
+                + t * p2 - a[5] * q2)
+    return (q1 * q1 * p1 * (p1 - 1) + (e + a[3]) * q1 * p1 - a[3] * q1
+            + q1 * p1 * q2 * p2 + p1 * q2
+            + q2 * q2 * p2 * p2 + (e + a[3] + a[5]) * q2 * p2 + t * p2 - q2)
+
+
+def hand_chart(which, p, x, y):
+    """The charts of the five named systems, written out: (q, p) as lists."""
+    if which == "p5":
+        return [x[0] / x[1]], [-x[1] * (x[1] * y[1] + p.alpha[3]) / x[0]]
+    if which == "p3":
+        return [x[1] / x[0]], [x[0] * y[1]]
+    if which == "n2r1":
+        return ([x[0] / x[1], x[0] / x[2]],
+                [-x[1] * (x[1] * y[1] + p.alpha[3]) / x[0], -x[2] * (x[2] * y[2] + p.alpha[5]) / x[0]])
+    return [-x[1] / x[0], -x[2] / x[0]], [1 - x[0] * y[1], -x[0] * y[2]]
+
+
+class TestCanonicalFormulas:
+    @pytest.mark.parametrize("which", APPENDIX_SYSTEMS)
+    def test_named_systems_equal_their_hand_formulas(self, which):
+        n, r, _ = APPENDIX_SOURCE[which]
+        for p, x, y, t in rational_points(n, r, seed=1100 + sum(map(ord, which)), count=20):
+            q, pm = x[:n], y[:n]
+            assert hamiltonian_appendix(which, p, q, pm, t) == hand_hamiltonian(which, p, q, pm, t)
+            assert tuple(map(list, appendix_a_map(which, p, x, y))) == hand_chart(which, p, x, y)
+
+    def test_p5_is_the_rank_1_level_1_instance(self):
+        # p3 keeps its own chart; p5 is n1r1 under another name (n2r1..n2r3 are their own)
+        for p, x, y, t in rational_points(1, 1, seed=1200):
+            q, pm = x[:1], y[:1]
+            assert hamiltonian_appendix("p5", p, q, pm, t) == hamiltonian_appendix("n1r1", p, q, pm, t)
+            assert ([list(v) for v in appendix_a_map("p5", p, x, y)]
+                    == [list(v) for v in appendix_a_map("n1r1", p, x, y)])
+
+    @pytest.mark.parametrize("which,n,r", [("p5", 2, 1), ("p3", 1, 1), ("n2r2", 2, 3), ("n3r2", 2, 2),
+                                           ("n1r0", 1, 0), ("p6", 1, 1), ("n2r1x", 2, 1)])
+    def test_names_must_match_the_set(self, which, n, r):
+        p = sample_degenerate(n, r, seed=34)
+        state = [0.5] * (n + 1)
+        with pytest.raises(ValueError):
+            hamiltonian_appendix(which, p, state[:n], state[:n], 0.5)
+        with pytest.raises(ValueError):
+            appendix_a_map(which, p, state, state)
+
+
 class TestCoupledField:
     def test_momentum_free_reduction_matches(self):
+        # at p = 0 the rank-1 field is the Riccati equation
+        # t(t-1) q' = alpha_1 q^2 + ((alpha_3 + alpha_0) t - (alpha_0 + alpha_1)) q - alpha_3 t
         p = sample_generic(1, seed=7).with_eta(0.0)
+        a0, a1, _, a3 = p.alpha
         for t in (0.2, 0.4, 0.7):
             for q in (-0.8, 0.3, 1.4):
                 dq, dp = coupled_p6_field(p, [q], [0.0], t)
-                assert dq[0] == pytest.approx(riccati_rhs(p, q, t) / (t * (t - 1)), rel=1e-13)
+                riccati = a1 * q * q + ((a3 + a0) * t - (a0 + a1)) * q - a3 * t
+                assert dq[0] == pytest.approx(riccati / (t * (t - 1)), rel=1e-13)
                 assert dp[0] == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -548,24 +630,31 @@ class TestAppendixMaps:
         assert dq[1] == pytest.approx(1.0)  # the isolated t p_2 term gives t/t
 
 
+def reduction_gap(p, q, dq, t):
+    """Relative distance of dq from the momentum-free reduction, the coupled field at p = 0."""
+    want, dp = coupled_p6_field(p, [q], [0], t)
+    assert dp[0] == 0
+    return abs(dq - want[0]) / max(1.0, abs(want[0]))
+
+
 class TestClassicalChain:
     def test_gauss_solution_solves_reduction(self):
         p = sample_generic(1, seed=7).with_eta(0.0)
         for t in np.linspace(0.1, 0.5, 9):
             q, dq = riccati_from_gauss(p, t)
-            assert riccati_residual(p, q, dq, t) < 1e-8
+            assert reduction_gap(p, q, dq, t) < 1e-11
 
     def test_perturbed_solution_detected(self):
         p = sample_generic(1, seed=7).with_eta(0.0)
         q, dq = riccati_from_gauss(p, 0.3)
-        assert riccati_residual(p, q + 0.01, dq, 0.3) >= 1e-3
+        assert reduction_gap(p, q + 0.01, dq, 0.3) >= 1e-3
 
     def test_degenerate_alpha3_zero_case(self):
         # with alpha_3 = 0 the series is constant 1 and q = 0 solves trivially
         p = ParameterSet(1, (0.3 + 0j, 0.45 + 0j, 0.25 + 0j, 0.0 + 0j), 0.0)
         q, dq = riccati_from_gauss(p, 0.3)
         assert abs(q) < 1e-14 and abs(dq) < 1e-14
-        assert riccati_residual(p, q, dq, 0.3) < 1e-14
+        assert reduction_gap(p, q, dq, 0.3) < 1e-14
 
     def test_vanishing_alpha1_rejected(self):
         p = ParameterSet(1, (0.3 + 0j, 0.0 + 0j, 0.3 + 0j, 0.4 + 0j), 0.0)

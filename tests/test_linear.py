@@ -727,9 +727,6 @@ class TestFundamentalSolutions:
 
 
 class TestConfluentSolutions:
-    def test_cyclic_residue_convention(self):
-        assert 5 % 3 == 2  # the index-reduction rule used throughout
-
     def test_prefactor_trivial_at_level_zero(self):
         p = sample_degenerate(2, 2, seed=3)
         pref, _ = branch_spec(p, 1, 0)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from cpvi.dynamics import APPENDIX_SOURCE
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -173,6 +175,19 @@ def test_public_name_scanner_finds_orphans():
     defined = _public_definitions(tree)
     assert sorted(defined) == ["LIMIT", "ORPHAN", "Report", "solve", "unused"]
     assert sorted(set(defined) - _loaded_names(tree)) == ["ORPHAN", "unused"]
+
+
+def test_benchmark_names_the_canonical_systems_of_the_library():
+    """perfbench/verify.py keeps its own copy of the canonical systems; it must list
+    exactly dynamics.APPENDIX_SOURCE, with the same ranks, levels and time flips."""
+    script = ROOT / "perfbench" / "verify.py"
+    if not script.is_file():
+        pytest.skip("no perfbench/ directory in this checkout")
+    copies = [node.value for node in ast.parse(script.read_text()).body
+              if isinstance(node, ast.Assign)
+              and any(isinstance(target, ast.Name) and target.id == "CANONICAL" for target in node.targets)]
+    assert len(copies) == 1, "perfbench/verify.py assigns CANONICAL once"
+    assert ast.literal_eval(copies[0]) == APPENDIX_SOURCE
 
 
 def test_no_unreferenced_public_names():

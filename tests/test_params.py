@@ -56,6 +56,19 @@ class TestPartialSum:
     def test_windows_longer_than_period_pick_up_full_sums(self):
         assert abs(partial_sum(P1, 3, 3 + 4) - (partial_sum(P1, 3, 3) + 1.0)) < 1e-14
 
+    def test_cyclic_rule_at_negative_and_wrapped_indices(self):
+        # alpha_i is alpha_{i mod 2n+2}; a window is the sum of those entries, term by term
+        p = sample_rational_generic(2, seed=9)
+        m = 2 * p.n + 2
+        assert [p.alpha_at(i) for i in range(-m, 0)] == list(p.alpha)
+        assert [p.alpha_at(i) for i in range(m, 2 * m)] == list(p.alpha)
+        assert p.alpha_at(-1) == p.alpha[m - 1] and p.alpha_at(-2 * m - 3) == p.alpha[m - 3]
+        for k in range(-2 * m, 2 * m):
+            for l in range(-1, 2 * m):
+                want = sum((p.alpha[(k + j) % m] for j in range(l + 1)), Fraction(0))
+                assert p.partial_sum(k, l) == want, (k, l)
+        assert p.partial_sum(-1, 1) == p.alpha[m - 1] + p.alpha[0]
+
 
 class TestIntegerWindows:
     @staticmethod
@@ -231,3 +244,28 @@ class TestDegenerateReplace:
     def test_zero_eps_rejected(self):
         with pytest.raises(ValueError):
             degenerate_replace(P1, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fraction_set_stays_exact_at_every_level(self, n):
+        eps = Fraction(1, 10**6)
+        for r in range(1, n + 2):
+            alpha = list(sample_rational_generic(n, seed=n + r).alpha)
+            alpha[0:2 * r:2] = [Fraction(0)] * r
+            alpha[-1] += 1 - sum(alpha)
+            p = ParameterSet(n, tuple(alpha), Fraction(1, 3), r).with_degeneracy(r - 1)
+            q = degenerate_replace(p, eps)
+            assert all(type(a) is Fraction for a in q.alpha) and sum(q.alpha) == 1
+            assert q.alpha[2 * r - 2] == -10**6
+            assert q.alpha[2 * r - 1] == p.alpha[2 * r - 1] + 10**6
+            assert q.degeneracy == r - 1 and q.eta == p.eta
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-6, 1e-3 + 2e-3j, -1e-3])
+    def test_complex_set_values_are_the_complex_substitution(self, eps):
+        # the substitution in complex arithmetic, as written before the set's arithmetic was kept
+        for n, r in [(1, 1), (2, 2), (3, 1), (3, 4)]:
+            p = sample_degenerate(n, r, seed=n + r).with_degeneracy(r - 1)
+            q = degenerate_replace(p, eps)
+            want = list(p.alpha)
+            want[2 * r - 2] = -1.0 / complex(eps)
+            want[2 * r - 1] = complex(p.alpha[2 * r - 1]) + 1.0 / complex(eps)
+            assert list(q.alpha) == want
