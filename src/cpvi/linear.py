@@ -29,11 +29,13 @@ the series solutions at t = 0:
   tables of :func:`fundamental_solution`, the prefactors of
   :func:`branch_spec` and the one-pass sums of :func:`fundamental_matrix`.
 
-The first two are one loop each, in either arithmetic, and the set's
-entries pick it once: complex entries use their window sums and divide at
-once; a Fraction set computes in Python integers, every window sum an
-integer numerator over the lcm d of the denominators
-(:func:`params.integer_windows`), and forms one Fraction per entry.
+The first two are one loop each, in either arithmetic, and one helper
+(:func:`_arithmetic`) picks it from the set's entries: complex entries use
+their window sums and divide at once; a Fraction set computes in Python
+integers, every window sum an integer numerator over the lcm d of the
+denominators (:func:`params.integer_windows`), carries its denominators
+and forms one Fraction per entry.  One back substitution
+(:func:`_back_substitute`) serves the recurrence in both.
 
 Exponent conventions: branch k of the system carries t^(-w_k) with
 w_k = alpha_{2k+2} + ... + alpha_{2n} + alpha_{2n+1} (window sum), the
@@ -45,8 +47,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -183,8 +186,9 @@ def gauge_transform(sys: LinearSystem, k: int) -> LinearSystem:
         raise ValueError("gauge transform applies to the position-side Fuchsian system")
     if not 0 <= k <= sys.n:
         raise ValueError(f"branch index {k} out of range 0..{sys.n}")
-    A0, A1 = _residue_matrices(sys.n, 0, sys.params.shifted(2 * k + 2).partial_sum)
-    return LinearSystem(sys.n, _as_array(A0), _as_array(A1), "fuchsian", sys.params, gauge=k)
+    p, s = sys.params, 2 * k + 2
+    A0, A1 = _residue_matrices(sys.n, 0, lambda first, length: p.partial_sum(first + s, length))
+    return LinearSystem(sys.n, _as_array(A0), _as_array(A1), "fuchsian", p, gauge=k)
 
 
 def gauge_matrix(p: ParameterSet, k: int, t: complex) -> np.ndarray:
@@ -212,87 +216,90 @@ def _require_nonzero(v, what, row=None):
         raise ResonanceError(f"vanishing {what}{where}")
 
 
-def _upper_solve(rows, rhs, pivot_shift, last=None):
-    """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A;
-    returns (v, 1), the shape of :func:`_fraction_free_solve`.
+def _back_substitute(rows, rhs, pivot_shift, over, last=None):
+    """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A:
+    returns (v, den) with solution v / den.
 
-    With ``last`` given, v[-1] is fixed to it and the last row is skipped:
-    rhs 0, shift 0 and last 1 give the kernel vector of an A whose last
+    ``over`` (:class:`_Arithmetic`) puts each row's remainder over its
+    pivot: at once (den stays 1), or fraction-free, scaling the other
+    entries by the pivot so all stay over one denominator, the product of
+    the pivots (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  With
+    ``last`` given, v[-1] is fixed to it and the last row is skipped: rhs
+    0, shift 0 and last 1 give the kernel vector of an A whose last
     diagonal entry is 0.
     """
     m = len(rows)
-    v = [rhs[0] * 0 for _ in range(m)]
+    v, den = list(rhs), 1  # entries still to solve hold their right-hand side
     what = "recurrence pivot"
     if last is not None:
         v[m - 1] = last
         what = "diagonal entry (kernel not one-dimensional)"
     for i in range(m - 1 if last is None else m - 2, -1, -1):
-        acc = rhs[i]
+        acc = v[i]
         for j in range(i + 1, m):
             acc = acc - rows[i][j] * v[j]
         pivot = rows[i][i] + pivot_shift
         _require_nonzero(pivot, what, i)
-        v[i] = acc / pivot
-    return v, 1
-
-
-def _fraction_free_solve(rows, rhs, pivot_shift, last=None):
-    """:func:`_upper_solve` for integer rows and right-hand side, without
-    division: returns (v, den) with solution v / den.
-
-    Each solved row multiplies the entries already solved by its pivot,
-    so they stay integers over one common denominator, the product of the
-    pivots (fraction-free elimination as in E. H. Bareiss, Math. Comp. 22
-    (1968) 565-578).
-    """
-    m = len(rows)
-    v = [0] * m
-    den = 1
-    what = "recurrence pivot"
-    if last is not None:
-        v[m - 1] = last
-        what = "diagonal entry (kernel not one-dimensional)"
-    for i in range(m - 1 if last is None else m - 2, -1, -1):
-        acc = rhs[i] * den
-        for j in range(i + 1, m):
-            acc -= rows[i][j] * v[j]
-        pivot = rows[i][i] + pivot_shift
-        _require_nonzero(pivot, what, i)
-        for j in range(i + 1, m):
-            v[j] *= pivot
-        v[i] = acc
-        den *= pivot
+        x, carried = over(acc, pivot)
+        if carried != 1:  # a row divided at once scales nothing
+            v = [y * carried for y in v]
+            den *= carried
+        v[i] = x
     return v, den
+
+
+class _Arithmetic(NamedTuple):
+    """The arithmetic of the exact series routes, read once from a set's
+    entries by :func:`_arithmetic`."""
+
+    d: int  # the windows' scale: 1, or the lcm of the denominators
+    window: Callable  # window(k, l): d times the window sum from slot k + the gauge shift
+    over: Callable  # over(num, den) -> (value, carried): (num / den, 1), or (num, den)
+    settle: Callable  # settle(v, den): a step's vector as it is, or with its gcd cancelled
+    entries: Callable  # entries(nums, dens): nums as they are, or Fractions over dens()
+
+
+def _arithmetic(p: ParameterSet, shift: int = 0) -> _Arithmetic:
+    """Complex entries divide at once; a Fraction set computes in Python
+    integers and carries its denominators.  The windows are read ``shift``
+    slots on: shift 2k+2 gives those of ``p.shifted(2k+2)``."""
+    exact = integer_windows(p)
+    if exact is None:
+        return _Arithmetic(1, lambda first, length: p.partial_sum(first + shift, length),
+                           lambda num, den: (num / den, 1), lambda v, den: (v, den),
+                           lambda nums, dens: nums)
+    d, window = exact
+
+    def cancel(v, den):
+        g = math.gcd(den, *v)
+        return [x // g for x in v], den // g
+
+    return _Arithmetic(d, lambda first, length: window(first + shift, length),
+                       lambda num, den: (num, den), cancel,
+                       lambda nums, dens: list(map(Fraction, nums, dens())))
 
 
 def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     """Gauge-frame coefficient vectors from the matrix recurrence.
 
     Solves A0 x_0 = 0 and (A0 - (i+1) I) x_{i+1} = (A0 - A1 - i I) x_i by
-    exact back substitution, with the level-0 residue matrices of
-    ``p.shifted(2k+2)``.  The set's entries pick the arithmetic.  Complex
-    entries give d = 1 and the dividing :func:`_upper_solve`.  A Fraction
-    set is computed in integers: the matrices are built from the integer
-    windows (:func:`params.integer_windows`), so they are d A0 and d A1
-    with d the lcm of the denominators, and :func:`_fraction_free_solve`
-    runs on d A0 - d(i+1) I with right-hand side (d A0 - d A1 - d i I) x_i.
-    Each x_i is then an integer vector over one denominator, reduced by
-    one gcd per step, and each entry becomes one Fraction.
+    exact back substitution (:func:`_back_substitute`), with the level-0
+    residue matrices of ``p.shifted(2k+2)``, read as p's windows 2k+2
+    slots on.  In the set's arithmetic (:func:`_arithmetic`) the matrices
+    are d A0 and d A1, so the solve runs on d A0 - d(i+1) I with
+    right-hand side (d A0 - d A1 - d i I) x_i.  Complex entries (d = 1)
+    divide by each pivot at once; a Fraction set keeps each x_i as an
+    integer vector over one denominator, reduced by one gcd per step, and
+    makes each entry one Fraction.
     """
-    n, s = p.n, 2 * k + 2
-    exact = integer_windows(p)
-    if exact is None:
-        d, window, solve = 1, p.shifted(s).partial_sum, _upper_solve
-    else:
-        d, integer_window = exact
-        window = lambda first, length: integer_window(first + s, length)
-        solve = _fraction_free_solve
+    n = p.n
+    d, window, over, settle, entries = _arithmetic(p, 2 * k + 2)
     A0, A1 = _residue_matrices(n, 0, window)
     # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
     step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
              for col in range(n + 1)] for row in range(n + 1)]
     zero = window(0, -1)
-    x, den = solve(A0, [zero] * (n + 1), 0, last=zero + 1)
+    x, den = _back_substitute(A0, [zero] * (n + 1), 0, over, last=zero + 1)
     steps = [(x, den)]
     for i in range(depth):
         rhs = []
@@ -301,15 +308,10 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
             for a, v in zip(coeffs, x):
                 acc = acc + a * v
             rhs.append(acc)
-        x, solved = solve(A0, rhs, -d * (i + 1))
-        den *= solved
-        if exact is not None:
-            g = math.gcd(den, *x)
-            x, den = [v // g for v in x], den // g
+        x, solved = _back_substitute(A0, rhs, -d * (i + 1), over)
+        x, den = settle(x, den * solved)
         steps.append((x, den))
-    if exact is None:
-        return [x for x, _ in steps]
-    return [[Fraction(v, q) for v in x] for x, q in steps]
+    return [entries(x, lambda: repeat(q)) for x, q in steps]
 
 
 def _closed_form_components(heads, tail, prev, one):
@@ -320,7 +322,7 @@ def _closed_form_components(heads, tail, prev, one):
     head_prefix = list(accumulate(heads, mul, initial=one))
     # both products start from one; one * tail can differ from tail in a sign of zero
     tail_prefix = accumulate(reversed(prev), mul, initial=one * tail)
-    return [h * t for h, t in zip(reversed(head_prefix), tail_prefix)]
+    return list(map(mul, reversed(head_prefix), tail_prefix))
 
 
 def closed_form_vectors(p: ParameterSet, k: int, depth: int):
@@ -348,39 +350,35 @@ def closed_form_vectors(p: ParameterSet, k: int, depth: int):
     checked for resonance, which covers the tail factors j >= 1 too, and
     r_0 + i is never 0.
 
-    The set's entries pick the arithmetic.  Complex entries divide each
-    ratio by its factor at once.  A Fraction set is computed in integers:
-    the windows are d times the window sums (:func:`params.integer_windows`,
-    d the lcm of the denominators), each ratio is an integer numerator and
-    denominator advanced by the factors d u_j + d i and d v_j + d i, and
-    each entry becomes one Fraction.
+    The set's entries pick the arithmetic (:func:`_arithmetic`): the
+    windows are d times the window sums and each ratio advances by the
+    factor d u_j + d i over d v_j + d i.  Complex entries divide each
+    ratio by its factor at once, and the denominators beside stay 1.  A
+    Fraction set is computed in integers: each ratio is an unreduced
+    integer numerator over an integer denominator, and each entry is one
+    Fraction of the two component products.
     """
     n = p.n
-    exact = integer_windows(p)
-    d, window = (1, p.partial_sum) if exact is None else exact
+    d, window, over, _, entries = _arithmetic(p)
     one = window(0, -1) + 1
     u = [window(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
     v = [window(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
     s0, r0 = window(2 * k + 3, 2 * n), window(2 * k + 2, 2 * n + 1)
-    if exact is None:
-        advance = lambda num, den: (num / den, one)
-    else:
-        advance = lambda num, den: (num, den)
-    head_num, head_den = [one] * n, [one] * n
-    tail_num = tail_den = one
+    head_num, head_den = [one] * n, [1] * n
+    tail_num, tail_den = one, 1
     vecs = []
     for i in range(depth + 1):
         prev_num, prev_den = head_num[:], head_den[:]
         for j in range(n):
             den = v[j] + d * i
             _require_nonzero(den, "head window rising factorial")
-            head_num[j], head_den[j] = advance(head_num[j] * (u[j] + d * i), head_den[j] * den)
+            head_num[j], carried = over(head_num[j] * (u[j] + d * i), den)
+            head_den[j] *= carried
         if i:
-            tail_num, tail_den = advance(tail_num * (s0 + d * (i - 1)),
-                                         tail_den * (r0 + d * (i - 1)))
-        nums = _closed_form_components(head_num, tail_num, prev_num, one)
-        vecs.append(nums if exact is None else [Fraction(a, b) for a, b in zip(
-            nums, _closed_form_components(head_den, tail_den, prev_den, one))])
+            tail_num, carried = over(tail_num * (s0 + d * (i - 1)), r0 + d * (i - 1))
+            tail_den *= carried
+        vecs.append(entries(_closed_form_components(head_num, tail_num, prev_num, one),
+                            lambda: _closed_form_components(head_den, tail_den, prev_den, 1)))
     return vecs
 
 

@@ -193,13 +193,13 @@ class TestGauge:
         p = sample_generic(n, seed=n + 17 * k)
         sysk = gauge_transform(build_fuchsian(p), k)
         ref = build_fuchsian(p.shifted(2 * k + 2))
-        assert np.allclose(sysk.A0, ref.A0) and np.allclose(sysk.A1, ref.A1)
+        assert np.array_equal(sysk.A0, ref.A0) and np.array_equal(sysk.A1, ref.A1)
 
     def test_k_n_reproduces_original(self):
         p = sample_generic(2, seed=12)
         sys = build_fuchsian(p)
         sysk = gauge_transform(sys, 2)
-        assert np.allclose(sys.A0, sysk.A0) and np.allclose(sys.A1, sysk.A1)
+        assert np.array_equal(sys.A0, sysk.A0) and np.array_equal(sys.A1, sysk.A1)
 
     @pytest.mark.parametrize("n,k", [(1, 0), (2, 1), (3, 0)])
     def test_gauge_matrix_maps_solutions(self, n, k):

@@ -1,4 +1,9 @@
-"""Property tests: closed-form coefficient vectors against the recurrence."""
+"""Property tests: closed-form coefficient vectors against the recurrence,
+and the back substitution that the recurrence solves by."""
+
+import cmath
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +11,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cpvi.linear import closed_form_vectors, recurrence_vectors
+from cpvi.linear import (ResonanceError, _arithmetic, _back_substitute, closed_form_vectors,
+                         recurrence_vectors)
 from cpvi.params import sample_generic, sample_rational_generic
 
 RANKS = st.integers(min_value=1, max_value=4)
@@ -33,3 +39,93 @@ def test_float_closed_form_matches_recurrence(n, seed, depth):
         rec = np.array(recurrence_vectors(p, k, depth), dtype=complex)
         scale = np.maximum(np.abs(cf), 1.0)
         assert np.max(np.abs(rec - cf) / scale) < 1e-12
+
+
+SIZES = st.integers(min_value=1, max_value=6)
+# each row's remainder over its pivot, as a Fraction set and a complex set take it
+CARRY = _arithmetic(sample_rational_generic(1, seed=0)).over
+DIVIDE = _arithmetic(sample_generic(1, seed=0)).over
+SMALL = st.integers(min_value=-9, max_value=9)
+
+
+@st.composite
+def integer_systems(draw):
+    """Upper-triangular integer rows, an integer shift and a right-hand side."""
+    m = draw(SIZES)
+    rows = [[draw(SMALL) if j >= i else 0 for j in range(m)] for i in range(m)]
+    return rows, draw(SMALL), [draw(SMALL) for _ in range(m)]
+
+
+def _shifted_product(rows, shift, v):
+    """(A + shift I) v in the entries' own arithmetic."""
+    return [sum(a * x for a, x in zip(row, v)) + shift * v[i] for i, row in enumerate(rows)]
+
+
+@CASES
+@given(system=integer_systems())
+def test_fraction_free_solve_is_exact(system):
+    rows, shift, rhs = system
+    zero = [i for i, row in enumerate(rows) if row[i] + shift == 0]
+    if zero:
+        # the solve runs from the last row up and stops at the first zero pivot
+        with pytest.raises(ResonanceError, match=f"vanishing recurrence pivot at row {zero[-1]}$"):
+            _back_substitute(rows, rhs, shift, CARRY)
+        return
+    v, den = _back_substitute(rows, rhs, shift, CARRY)
+    assert all(type(x) is int for x in v) and type(den) is int
+    assert _shifted_product(rows, shift, v) == [den * b for b in rhs]
+
+
+@CASES
+@given(system=integer_systems(), last=SMALL.filter(bool))
+def test_fraction_free_kernel_vector(system, last):
+    rows, _, _ = system
+    rows[-1][-1] = 0
+    zero = [i for i, row in enumerate(rows[:-1]) if row[i] == 0]
+    if zero:
+        message = f"kernel not one-dimensional\\) at row {zero[-1]}$"
+        with pytest.raises(ResonanceError, match=message):
+            _back_substitute(rows, [0] * len(rows), 0, CARRY, last=last)
+        return
+    v, den = _back_substitute(rows, [0] * len(rows), 0, CARRY, last=last)
+    assert _shifted_product(rows, 0, v) == [0] * len(rows)
+    assert Fraction(v[-1], den) == last
+
+
+ENTRIES = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+PIVOTS = st.builds(cmath.rect, st.floats(min_value=1, max_value=3),
+                   st.floats(min_value=-math.pi, max_value=math.pi))
+
+
+@st.composite
+def complex_systems(draw):
+    """Upper-triangular complex rows whose pivots under an integer shift
+    have modulus 1..3, the shift, and a right-hand side."""
+    m, shift = draw(SIZES), draw(SMALL)
+    rows = [[(draw(PIVOTS) - shift if j == i else draw(ENTRIES)) if j >= i else 0j
+             for j in range(m)] for i in range(m)]
+    return rows, shift, [draw(ENTRIES) for _ in range(m)]
+
+
+@CASES
+@given(system=complex_systems())
+def test_dividing_solve_on_complex_rows(system):
+    rows, shift, rhs = system
+    v, den = _back_substitute(rows, rhs, shift, DIVIDE)
+    assert den == 1
+    ref = np.linalg.solve(np.array(rows) + shift * np.eye(len(rows)), np.array(rhs))
+    assert np.linalg.norm(np.array(v) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@CASES
+@given(system=integer_systems())
+def test_dividing_solve_stops_at_the_same_pivot(system):
+    rows, shift, rhs = system
+    zero = [i for i, row in enumerate(rows) if row[i] + shift == 0]
+    if not zero:
+        v, den = _back_substitute(rows, [complex(b) for b in rhs], shift, DIVIDE)
+        exact, exact_den = _back_substitute(rows, rhs, shift, CARRY)
+        assert np.allclose(v, np.array(exact) / exact_den, rtol=1e-12, atol=1e-12)
+        return
+    with pytest.raises(ResonanceError, match=f"vanishing recurrence pivot at row {zero[-1]}$"):
+        _back_substitute(rows, [complex(b) for b in rhs], shift, DIVIDE)
