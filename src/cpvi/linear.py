@@ -15,27 +15,31 @@ adjoint -A^T of the level-0 pair except for its row n.  This module also
 builds the cyclic gauge transforms and the three independent routes to
 the series solutions at t = 0:
 
-* the matrix two-term recurrence, solved exactly by back substitution on
-  the triangular structure;
+* the matrix two-term recurrence of the level-0 system, solved exactly
+  by back substitution on the triangular structure;
 * the closed-form coefficient vectors, products of rising factorials of
   cyclic window sums;
 * assembly from hypergeometric series with the branch-dependent
-  parameter bookkeeping, one window rule for every confluence level: at
-  level r the upper windows starting at the odd slots 2s+1, s < r, are
-  absorbed by the time rescaling of the confluence limit and dropped.
-  The n+1 branch functions of a branch are contiguous levels of one base
-  series: level l is the base series times its level weights W_l(i)
-  (:func:`hyperfn._level_weights`).  This one rule makes the coefficient
-  tables of :func:`fundamental_solution`, the prefactors of
-  :func:`branch_spec` and the one-pass sums of :func:`fundamental_matrix`.
+  parameter bookkeeping.  The n+1 branch functions of a branch are
+  contiguous levels of one base series: level l is the base series times
+  its level weights W_l(i) (:func:`hyperfn._level_weights`).  This one
+  rule makes the coefficient tables of :func:`fundamental_solution`, the
+  prefactors of :func:`branch_spec` and the one-pass sums of
+  :func:`fundamental_matrix`.
 
-The first two are one loop each, in either arithmetic, and one helper
-(:func:`_arithmetic`) picks it from the set's entries: complex entries use
-their window sums and divide at once; a Fraction set computes in Python
-integers, every window sum an integer numerator over the lcm d of the
-denominators (:func:`params.integer_windows`), carries its denominators
-and forms one Fraction per entry.  One back substitution
-(:func:`_back_substitute`) serves the recurrence in both.
+One window rule, :func:`_branch_windows`, gives a branch's upper and lower
+windows at every confluence level r: the upper windows starting at the odd
+slots 2s+1, s < r, are absorbed by the time rescaling of the confluence
+limit and dropped.  The closed form and the assembly both read it.
+
+The recurrence and the closed form are one loop each, in either
+arithmetic, and one helper (:func:`_arithmetic`) picks it from the set's
+entries: complex entries use their window sums and divide at once; a
+Fraction set computes in Python integers, every window sum an integer
+numerator over the lcm d of the denominators
+(:func:`params.integer_windows`), carries its denominators and forms one
+Fraction per entry.  One back substitution (:func:`_back_substitute`)
+serves the recurrence in both.
 
 Exponent conventions: branch k of the system carries t^(-w_k) with
 w_k = alpha_{2k+2} + ... + alpha_{2n} + alpha_{2n+1} (window sum), the
@@ -45,6 +49,7 @@ k-th diagonal entry of -A0 and zero for k = n.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -253,29 +258,26 @@ class _Arithmetic(NamedTuple):
     entries by :func:`_arithmetic`."""
 
     d: int  # the windows' scale: 1, or the lcm of the denominators
-    window: Callable  # window(k, l): d times the window sum from slot k + the gauge shift
+    window: Callable  # window(k, l): d times the window sum alpha_k + ... + alpha_{k+l}
     over: Callable  # over(num, den) -> (value, carried): (num / den, 1), or (num, den)
     settle: Callable  # settle(v, den): a step's vector as it is, or with its gcd cancelled
     entries: Callable  # entries(nums, dens): nums as they are, or Fractions over dens()
 
 
-def _arithmetic(p: ParameterSet, shift: int = 0) -> _Arithmetic:
+def _arithmetic(p: ParameterSet) -> _Arithmetic:
     """Complex entries divide at once; a Fraction set computes in Python
-    integers and carries its denominators.  The windows are read ``shift``
-    slots on: shift 2k+2 gives those of ``p.shifted(2k+2)``."""
+    integers and carries its denominators."""
     exact = integer_windows(p)
     if exact is None:
-        return _Arithmetic(1, lambda first, length: p.partial_sum(first + shift, length),
-                           lambda num, den: (num / den, 1), lambda v, den: (v, den),
-                           lambda nums, dens: nums)
+        return _Arithmetic(1, p.partial_sum, lambda num, den: (num / den, 1),
+                           lambda v, den: (v, den), lambda nums, dens: nums)
     d, window = exact
 
     def cancel(v, den):
         g = math.gcd(den, *v)
         return [x // g for x in v], den // g
 
-    return _Arithmetic(d, lambda first, length: window(first + shift, length),
-                       lambda num, den: (num, den), cancel,
+    return _Arithmetic(d, window, lambda num, den: (num, den), cancel,
                        lambda nums, dens: list(map(Fraction, nums, dens())))
 
 
@@ -291,9 +293,17 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     divide by each pivot at once; a Fraction set keeps each x_i as an
     integer vector over one denominator, reduced by one gcd per step, and
     makes each entry one Fraction.
+
+    A confluent set (``p.degeneracy`` >= 1) raises ``ValueError``: this is
+    the level-0 recurrence, and :func:`closed_form_vectors` serves every level.
     """
+    if p.degeneracy:
+        raise ValueError(f"the recurrence solves the level-0 system; "
+                         f"this set is at level {p.degeneracy}")
     n = p.n
-    d, window, over, settle, entries = _arithmetic(p, 2 * k + 2)
+    d, read, over, settle, entries = _arithmetic(p)
+    shift = 2 * k + 2
+    window = lambda first, length: read(first + shift, length)
     A0, A1 = _residue_matrices(n, 0, window)
     # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
     step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
@@ -326,56 +336,62 @@ def _closed_form_components(heads, tail, prev, one):
 
 
 def closed_form_vectors(p: ParameterSet, k: int, depth: int):
-    """Gauge-frame coefficient vectors from the explicit product formula.
+    """Gauge-frame coefficient vectors from the explicit product formula,
+    at every confluence level r = p.degeneracy.
 
-    Component m of the i-th vector is
+    With a_0..a_n and b_1..b_n the windows of branch k at the set's level
+    (:func:`_branch_windows`, as described in :func:`branch_spec`),
+    component n-l of the i-th vector is
 
-        prod_{j=0}^{n-1-m} (u_j)_{i+1} / (v_j)_{i+1}
-        * prod_{j=0}^{m} (s_j)_i / (r_j)_i
+        (a_0)_i / i! * prod_{j=1}^{l} (a_j)_{i+1} / (b_j)_{i+1}
+        * prod_{j=l+1}^{n} (a_j)_i / (b_j)_i,
 
-    with u_j, v_j, s_j, r_j the cyclic window sums starting at
-    2k-2j+1, 2k-2j, 2k+2j+3 and 2k+2j+2 of lengths 2j+1, 2j+2, 2n-2j+1
-    and 2n-2j+2 terms; the j = 0 tail denominator is the full-period sum 1,
-    whose rising factorial is the hypergeometric factorial.
+    the i-th coefficient of the level-l branch function; an absorbed
+    window's rising factorial is left out.  i! is (r_0)_i of the
+    full-period window r_0 = 1.
 
     The ratios are carried as running products (the hypergeometric term
     ratio), each advanced by a single factor per depth step: one per head
-    window, (u_j)_{i+1} / (v_j)_{i+1}, and one for tail window 0,
-    (s_0)_i / (r_0)_i.  Tail window j >= 1 is head window n-j, the same
-    cyclic window started one period later, so tail ratio j at step i is
-    head ratio n-j at step i-1 and is copied from there.  Component m is
-    then the prefix product of the first n-m head ratios times that of the
-    first m+1 tail ratios, so the cost is O(depth * n) products instead of
-    rebuilding every rising factorial.  Each head denominator factor is
-    checked for resonance, which covers the tail factors j >= 1 too, and
-    r_0 + i is never 0.
+    window j = 0..n-1, (a_{j+1} + i) / (b_{j+1} + i), and one for tail
+    window 0, (a_0 + i - 1) / (r_0 + i - 1).  Tail window j >= 1 is head
+    window n-j, the same cyclic window started one period later, so tail
+    ratio j at step i is head ratio n-j at step i-1 and is copied from
+    there.  Component m is then the prefix product of the first n-m head
+    ratios times that of the first m+1 tail ratios, so the cost is
+    O(depth * n) products instead of rebuilding every rising factorial.
+    Each head denominator factor is checked for resonance, which covers the
+    tail factors j >= 1 too, and r_0 + i is never 0.
 
     The set's entries pick the arithmetic (:func:`_arithmetic`): the
-    windows are d times the window sums and each ratio advances by the
-    factor d u_j + d i over d v_j + d i.  Complex entries divide each
-    ratio by its factor at once, and the denominators beside stay 1.  A
-    Fraction set is computed in integers: each ratio is an unreduced
-    integer numerator over an integer denominator, and each entry is one
-    Fraction of the two component products.
+    windows are d times the window sums and a factor is d a + d i over
+    d b + d i, or d over d b + d i for an absorbed window, which is
+    1 / (b + i).  Complex entries divide each ratio by its factor at once,
+    and the denominators beside stay 1.  A Fraction set is computed in
+    integers: each ratio is an unreduced integer numerator over an integer
+    denominator, and each entry is one Fraction of the two component
+    products.
     """
     n = p.n
     d, window, over, _, entries = _arithmetic(p)
     one = window(0, -1) + 1
-    u = [window(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
-    v = [window(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
-    s0, r0 = window(2 * k + 3, 2 * n), window(2 * k + 2, 2 * n + 1)
+    upper, v = _branch_windows(p, k, window)
+    r0 = window(2 * k + 2, 2 * n + 1)
+    # numerator factor base + step * i: d a + d i, or d for an absorbed window
+    (tail_base, tail_step), *heads = [(d, 0) if a is None else (a, d) for a in upper]
     head_num, head_den = [one] * n, [1] * n
     tail_num, tail_den = one, 1
     vecs = []
     for i in range(depth + 1):
         prev_num, prev_den = head_num[:], head_den[:]
-        for j in range(n):
-            den = v[j] + d * i
+        di = d * i
+        for j, (base, step) in enumerate(heads):
+            den = v[j] + di
             _require_nonzero(den, "head window rising factorial")
-            head_num[j], carried = over(head_num[j] * (u[j] + d * i), den)
+            head_num[j], carried = over(head_num[j] * (base + step * i), den)
             head_den[j] *= carried
         if i:
-            tail_num, carried = over(tail_num * (s0 + d * (i - 1)), r0 + d * (i - 1))
+            tail_num, carried = over(tail_num * (tail_base + tail_step * (i - 1)),
+                                     r0 + d * (i - 1))
             tail_den *= carried
         vecs.append(entries(_closed_form_components(head_num, tail_num, prev_num, one),
                             lambda: _closed_form_components(head_den, tail_den, prev_den, 1)))
@@ -426,9 +442,12 @@ class SeriesSolution:
         if t == 0 and self.exponent != 0:
             raise SeriesError(f"t = 0 is a singular point of branch {self.k} "
                               f"(exponent {self.exponent})")
-        g = _powers(t, self.depth + 1) @ self.coeffs
-        split = self.n - self.k
-        out = t ** self.exponent * np.concatenate((g[split:], t * g[:split]))
+        # only powers of |t| > 1 overflow, to inf and nan that the check below reports
+        quiet = np.errstate(over="ignore", invalid="ignore") if abs(t) > 1 else nullcontext()
+        with quiet:
+            g = _powers(t, self.depth + 1) @ self.coeffs
+            split = self.n - self.k
+            out = t ** self.exponent * np.concatenate((g[split:], t * g[:split]))
         if not np.isfinite(out).all():
             raise SeriesError(f"branch-{self.k} series value is not finite at t = {t}")
         return out
@@ -468,15 +487,24 @@ def closed_form_coeffs(p: ParameterSet, k: int, depth: int) -> SeriesSolution:
 # hypergeometric assembly
 
 
-def _branch_windows(p: ParameterSet, k: int):
+def _branch_windows(p: ParameterSet, k: int, window):
     """Unshifted windows a_0..a_n (None where absorbed) and b_1..b_n of
-    branch k at the set's level, as described in :func:`branch_spec`."""
+    branch k at the set's level, as described in :func:`branch_spec`, each
+    read by ``window``: as one complex each for the float assembly
+    (:func:`_complex_window`), or in the closed form's arithmetic
+    (:func:`_arithmetic`).  The one place the branch-window rule is held."""
     n, m = p.n, 2 * p.n + 2
     upper = [None if (k - i + 1) % (n + 1) < p.degeneracy
-             else complex(p.partial_sum(2 * k - 2 * i + 3, (2 * i - 2) % m))
+             else window(2 * k - 2 * i + 3, (2 * i - 2) % m)
              for i in range(n + 1)]
-    lower = [complex(p.partial_sum(2 * k - 2 * i + 2, 2 * i - 1)) for i in range(1, n + 1)]
+    lower = [window(2 * k - 2 * i + 2, 2 * i - 1) for i in range(1, n + 1)]
     return upper, lower
+
+
+def _complex_window(p: ParameterSet):
+    """The assembly's window read: each window sum as one complex, whatever
+    the set's entries, so the level factors of its series loops stay float."""
+    return lambda first, length: complex(p.partial_sum(first, length))
 
 
 def _shifted_spec(upper, lower, l: int) -> HGSpec:
@@ -490,7 +518,7 @@ def _shifted_spec(upper, lower, l: int) -> HGSpec:
 def _branch_levels(p: ParameterSet, k: int):
     """Base spec (level 0) of branch k and its level windows (a_l, b_l),
     l = 1..n: the arguments of the level rule :func:`hyperfn._level_weights`."""
-    upper, lower = _branch_windows(p, k)
+    upper, lower = _branch_windows(p, k, _complex_window(p))
     return _shifted_spec(upper, lower, 0), tuple(zip(upper[1:], lower))
 
 
@@ -515,7 +543,7 @@ def branch_spec(p: ParameterSet, k: int, l: int):
     """
     if not (0 <= k <= p.n and 0 <= l <= p.n):
         raise ValueError(f"branch {k} or level {l} out of range 0..{p.n}")
-    upper, lower = _branch_windows(p, k)
+    upper, lower = _branch_windows(p, k, _complex_window(p))
     pref = _level_weights(1.0 + 0.0j, tuple(zip(upper[1:l + 1], lower)), 0)[-1]
     return pref, _shifted_spec(upper, lower, l)
 
@@ -626,7 +654,7 @@ def component_ode_params(p: ParameterSet, i: int) -> HGSpec:
     n = p.n
     if not 0 <= i <= n:
         raise ValueError(f"component index {i} out of range 0..{n}")
-    return _shifted_spec(*_branch_windows(p, n), n - i)
+    return _shifted_spec(*_branch_windows(p, n, _complex_window(p)), n - i)
 
 
 def component_operator_residual(p: ParameterSet, sol: SeriesSolution, t: complex) -> float:
@@ -639,7 +667,7 @@ def component_operator_residual(p: ParameterSet, sol: SeriesSolution, t: complex
     coefficient-level reading as the column without that entry read one
     degree higher."""
     n = p.n
-    upper, lower = _branch_windows(p, n)
+    upper, lower = _branch_windows(p, n, _complex_window(p))
     specs = [_shifted_spec(upper, lower, n - i) for i in range(n + 1)]
     return _operator_residual_columns(specs, sol.original_coeffs(), t, sol.exponent)
 

@@ -1,12 +1,14 @@
 import dataclasses
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cpvi.dynamics import integrate, linear_rhs
-from cpvi.hyperfn import (HGSpec, SeriesError, eval_series, operator_residual, pochhammer,
-                          series_coefficients)
+from cpvi.hyperfn import (HGSpec, SeriesError, _level_weights, eval_series, operator_residual,
+                          pochhammer, series_coefficients)
 from cpvi.linear import (
     LinearSystem,
     ResonanceError,
@@ -337,8 +339,11 @@ EXACT_SETS.append(pytest.param(MIXED_DENOMINATORS, id="mixed-denominators"))
 
 
 def _product_formula(p, k, depth):
-    """The closed form's docstring formula, from rising factorials of window
-    sums taken with Fraction arithmetic."""
+    """The closed form's level-0 formula with windows of its own, from rising
+    factorials of window sums taken with Fraction arithmetic: component m
+    is prod_{j<n-m} (u_j)_{i+1} / (v_j)_{i+1} * prod_{j<=m} (s_j)_i / (r_j)_i,
+    where u_j = a_{j+1}, v_j = b_{j+1}, s_0 = a_0, r_0 is the full period,
+    and s_j, r_j (j >= 1) are u_{n-j}, v_{n-j} started one period later."""
     n = p.n
     u = [p.partial_sum(2 * k - 2 * j + 1, 2 * j) for j in range(n)]
     v = [p.partial_sum(2 * k - 2 * j, 2 * j + 1) for j in range(n)]
@@ -362,9 +367,35 @@ def _matvec(A, x):
     return [sum((a * v for a, v in zip(row, x)), Fraction(0)) for row in A]
 
 
+def _rational_copy(p):
+    """The set with each entry replaced by a nearby Fraction over a
+    denominator <= 97, the last (odd) entry restoring sum(alpha) = 1."""
+    alpha = [Fraction(complex(a).real).limit_denominator(97) for a in p.alpha]
+    alpha[-1] += 1 - sum(alpha)
+    return ParameterSet(p.n, tuple(alpha), Fraction(0), p.degeneracy)
+
+
+def _exact_assembly(p, k, depth):
+    """Gauge-frame rows of branch k assembled in Fractions: the base
+    coefficient prod (a)_i / prod (b)_i / i! of the set's level-r windows,
+    absorbed windows left out, carried through the level factors."""
+    upper, lower = _branch_windows(p, k, p.partial_sum)
+    rows = []
+    for i in range(depth + 1):
+        c = Fraction(1, math.factorial(i))
+        for a in upper:
+            if a is not None:
+                c *= pochhammer(a, i)
+        for b in lower:
+            c /= pochhammer(b, i)
+        rows.append(_level_weights(c, tuple(zip(upper[1:], lower)), i)[::-1])
+    return rows
+
+
 class TestExactOracles:
     """The exact vectors against the old Fraction arithmetic, each route on
-    its own: the product formula, and the recurrence's defining equations."""
+    its own: the product formula and, at every level, the exact assembly;
+    and the recurrence's defining equations."""
 
     @pytest.mark.parametrize("p", EXACT_SETS)
     def test_closed_form_is_product_formula(self, p):
@@ -374,6 +405,15 @@ class TestExactOracles:
                 vecs = closed_form_vectors(p, k, depth)
                 assert all(type(x) is Fraction for vec in vecs for x in vec)
                 assert vecs == expected[:depth + 1]
+
+    @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in range(n + 2)])
+    def test_closed_form_is_exact_assembly_at_every_level(self, n, r):
+        p = _rational_copy(sample_degenerate(n, r, seed=500 + 10 * n + r))
+        assert p.degeneracy == r and all(p.alpha[2 * i] == 0 for i in range(r))
+        for k in range(n + 1):
+            vecs = closed_form_vectors(p, k, 10)
+            assert all(type(x) is Fraction for vec in vecs for x in vec)
+            assert vecs == _exact_assembly(p, k, 10)
 
     @pytest.mark.parametrize("p", EXACT_SETS)
     def test_recurrence_solves_its_equations(self, p):
@@ -550,12 +590,14 @@ class TestFundamentalSolutions:
         assert complex(branch_exponent(p, 3)) == 0
 
     def test_coeffs_agree_with_closed_form(self):
-        p = sample_generic(2, seed=33)
-        for k in range(3):
-            hg = fundamental_solution(p, k, depth=15)
-            cf = closed_form_coeffs(p, k, depth=15)
-            scale = np.maximum(np.abs(cf.coeffs), 1.0)
-            assert np.max(np.abs(hg.coeffs - cf.coeffs) / scale) < 1e-11
+        sets = [sample_generic(2, seed=33)] + [sample_degenerate(n, r, seed=33 + 10 * n + r)
+                                               for n in (1, 2, 3) for r in range(1, n + 2)]
+        for p in sets:
+            for k in range(p.n + 1):
+                hg = fundamental_solution(p, k, depth=15)
+                cf = closed_form_coeffs(p, k, depth=15)
+                scale = np.maximum(np.abs(cf.coeffs), 1.0)
+                assert np.max(np.abs(hg.coeffs - cf.coeffs) / scale) < 1e-11, (p.n, p.degeneracy, k)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_system_residual_small(self, n):
@@ -599,7 +641,7 @@ class TestFundamentalSolutions:
     @staticmethod
     def _assert_matches_per_level(p, k, depth=60):
         got = fundamental_solution(p, k, depth).coeffs
-        upper, lower = _branch_windows(p, k)
+        upper, lower = _branch_windows(p, k, p.partial_sum)
         for l in range(p.n + 1):
             # prefactor prod_{i<=l} a_i / b_i, 1 / b_i for an absorbed a_i
             pref = np.prod([(1.0 if a is None else a) / b for a, b in zip(upper[1:l + 1], lower)])
@@ -614,7 +656,7 @@ class TestFundamentalSolutions:
         alpha = ([0.5, 0.25, 0.25, -0.25, 0.125, 0.125] if l == 1
                  else [0.75, 0.25, 0.25, -0.5, 0.125, 0.125])
         p = pset(alpha)
-        assert _branch_windows(p, k)[1][l - 1] == 0
+        assert _branch_windows(p, k, p.partial_sum)[1][l - 1] == 0
         for level in range(p.n + 1):
             with pytest.raises(SeriesError):
                 branch_spec(p, k, level)
@@ -685,8 +727,10 @@ class TestFundamentalSolutions:
         # t^600 overflows at t = 5; the product with the tiny coefficients
         # is then nan instead of the solution
         sol = fundamental_solution(sample_degenerate(2, 1, 3), 1, depth=600)
-        with pytest.raises(SeriesError, match="not finite"):
-            sol.value(5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # the overflow raises nothing but SeriesError
+            with pytest.raises(SeriesError, match="not finite"):
+                sol.value(5.0)
 
     def test_matrix_raises_outside_disc(self):
         with pytest.raises(SeriesError):
@@ -742,6 +786,7 @@ class TestConfluentSolutions:
             assert recurrence_residual(sys, sol) < 1e-12
             for t in (0.1, 0.45):
                 assert system_residual(sys, sol, t) < 1e-9
+            assert recurrence_residual(sys, closed_form_coeffs(p, k, 12)) < 1e-13
 
     def test_confluent_component_operators(self):
         p = sample_degenerate(2, 1, seed=220)

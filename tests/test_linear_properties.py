@@ -1,5 +1,6 @@
 """Property tests: closed-form coefficient vectors against the recurrence,
-and the back substitution that the recurrence solves by."""
+the back substitution that the recurrence solves by, and the branch
+windows that the closed form and the assembly share."""
 
 import cmath
 import math
@@ -11,9 +12,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from cpvi.linear import (ResonanceError, _arithmetic, _back_substitute, closed_form_vectors,
-                         recurrence_vectors)
-from cpvi.params import sample_generic, sample_rational_generic
+from cpvi.linear import (ResonanceError, _arithmetic, _back_substitute, _branch_windows,
+                         closed_form_vectors, recurrence_vectors)
+from cpvi.params import (ParameterSet, integer_windows, sample_degenerate, sample_generic,
+                         sample_rational_generic)
 
 RANKS = st.integers(min_value=1, max_value=4)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -129,3 +131,42 @@ def test_dividing_solve_stops_at_the_same_pivot(system):
         return
     with pytest.raises(ResonanceError, match=f"vanishing recurrence pivot at row {zero[-1]}$"):
         _back_substitute(rows, [complex(b) for b in rhs], shift, DIVIDE)
+
+
+FRACTIONS = st.fractions(min_value=-2, max_value=2, max_denominator=40)
+LEVELS = [(n, r) for n in (1, 2, 3, 4) for r in range(n + 2)]
+
+
+def level_fraction_set(data, n, r):
+    """A rank-n set of Fraction entries with mixed denominators at level r:
+    alpha_{2i} = 0 for i < r, and the last entry makes the sum 1."""
+    alpha = [Fraction(0) if i % 2 == 0 and i < 2 * r else data.draw(FRACTIONS)
+             for i in range(2 * n + 1)]
+    alpha.append(1 - sum(alpha))
+    return ParameterSet(n, tuple(alpha), Fraction(0), r)
+
+
+@pytest.mark.parametrize("n,r", LEVELS)
+@settings(CASES, max_examples=10)
+@given(data=st.data())
+def test_integer_branch_windows_are_scaled_windows(n, r, data):
+    p = level_fraction_set(data, n, r)
+    d, window = integer_windows(p)
+    scale = lambda ws: [None if w is None else d * w for w in ws]
+    for k in range(n + 1):
+        upper, lower = _branch_windows(p, k, window)
+        exact_upper, exact_lower = _branch_windows(p, k, p.partial_sum)
+        assert sum(a is None for a in upper) == r
+        assert upper == scale(exact_upper) and lower == scale(exact_lower)
+        assert all(type(w) is int for w in upper + lower if w is not None)
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n, r in LEVELS if r])
+def test_recurrence_refuses_a_confluent_set(n, r):
+    p = sample_degenerate(n, r, seed=n + r)
+    alpha = [Fraction(a.real).limit_denominator(97) for a in p.alpha]
+    alpha[-1] += 1 - sum(alpha)
+    for q in (p, ParameterSet(n, tuple(alpha), Fraction(0), r)):
+        for k in range(n + 1):
+            with pytest.raises(ValueError, match=f"this set is at level {r}$"):
+                recurrence_vectors(q, k, 3)
