@@ -49,7 +49,6 @@ k-th diagonal entry of -A0 and zero for k = n.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -282,7 +281,21 @@ def _arithmetic(p: ParameterSet) -> _Arithmetic:
 
 
 def recurrence_vectors(p: ParameterSet, k: int, depth: int):
-    """Gauge-frame coefficient vectors from the matrix recurrence.
+    """Gauge-frame coefficient vectors from the level-0 matrix recurrence
+    (:func:`_level_zero_recurrence`).
+
+    A confluent set (``p.degeneracy`` >= 1) raises ``ValueError``: this is
+    the level-0 recurrence, and :func:`closed_form_vectors` serves every level.
+    """
+    if p.degeneracy:
+        raise ValueError(f"the recurrence solves the level-0 system; "
+                         f"this set is at level {p.degeneracy}")
+    return _level_zero_recurrence(p, k, depth)
+
+
+def _level_zero_recurrence(p: ParameterSet, k: int, depth: int):
+    """Gauge-frame coefficient vectors of the level-0 system of p's alphas,
+    whatever p's level.
 
     Solves A0 x_0 = 0 and (A0 - (i+1) I) x_{i+1} = (A0 - A1 - i I) x_i by
     exact back substitution (:func:`_back_substitute`), with the level-0
@@ -293,13 +306,7 @@ def recurrence_vectors(p: ParameterSet, k: int, depth: int):
     divide by each pivot at once; a Fraction set keeps each x_i as an
     integer vector over one denominator, reduced by one gcd per step, and
     makes each entry one Fraction.
-
-    A confluent set (``p.degeneracy`` >= 1) raises ``ValueError``: this is
-    the level-0 recurrence, and :func:`closed_form_vectors` serves every level.
     """
-    if p.degeneracy:
-        raise ValueError(f"the recurrence solves the level-0 system; "
-                         f"this set is at level {p.degeneracy}")
     n = p.n
     d, read, over, settle, entries = _arithmetic(p)
     shift = 2 * k + 2
@@ -442,9 +449,8 @@ class SeriesSolution:
         if t == 0 and self.exponent != 0:
             raise SeriesError(f"t = 0 is a singular point of branch {self.k} "
                               f"(exponent {self.exponent})")
-        # only powers of |t| > 1 overflow, to inf and nan that the check below reports
-        quiet = np.errstate(over="ignore", invalid="ignore") if abs(t) > 1 else nullcontext()
-        with quiet:
+        # overflow gives inf and nan, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
             g = _powers(t, self.depth + 1) @ self.coeffs
             split = self.n - self.k
             out = t ** self.exponent * np.concatenate((g[split:], t * g[:split]))
@@ -458,14 +464,16 @@ def solve_recurrence(sys_k: LinearSystem, depth: int) -> SeriesSolution:
 
     The leading vector spans the kernel of A0, normalised so its last
     entry is 1 (the closed form's value); each following vector solves an
-    upper-triangular system exactly by back substitution.
+    upper-triangular system exactly by back substitution.  The system is
+    the level-0 one whatever its set's level (:func:`build_fuchsian` and
+    :func:`gauge_transform` read level 0), and so is the recurrence.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if sys_k.kind != "fuchsian" or sys_k.dual:
         raise ValueError("recurrence defined for position-side Fuchsian systems")
     k = sys_k.gauge
-    vecs = recurrence_vectors(sys_k.params, k, depth)
+    vecs = _level_zero_recurrence(sys_k.params, k, depth)
     return SeriesSolution(
         k=k,
         exponent=complex(branch_exponent(sys_k.params, k)),

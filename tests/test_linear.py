@@ -240,6 +240,17 @@ class TestRecurrence:
             scale = np.maximum(np.abs(cf.coeffs), 1.0)
             assert np.max(np.abs(rec.coeffs - cf.coeffs) / scale) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_solves_the_level_zero_system_of_a_confluent_set(self, n):
+        """build_fuchsian reads level 0 whatever the set's level, and the
+        recurrence solves the system it is given."""
+        for r in range(1, n + 2):
+            p = sample_degenerate(n, r, seed=60 + 10 * n + r)
+            sys = build_fuchsian(p)
+            for k in range(n + 1):
+                sol = solve_recurrence(gauge_transform(sys, k), depth=12)
+                assert recurrence_residual(sys, sol) < 1e-13
+
     def test_step_matrix_ranks(self):
         p = sample_generic(3, seed=77)
         sysk = gauge_transform(build_fuchsian(p), 1)
@@ -408,12 +419,18 @@ class TestExactOracles:
 
     @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in range(n + 2)])
     def test_closed_form_is_exact_assembly_at_every_level(self, n, r):
-        p = _rational_copy(sample_degenerate(n, r, seed=500 + 10 * n + r))
+        """The closed form serves every level; the recurrence refuses a
+        confluent set, complex or Fraction."""
+        q = sample_degenerate(n, r, seed=500 + 10 * n + r)
+        p = _rational_copy(q)
         assert p.degeneracy == r and all(p.alpha[2 * i] == 0 for i in range(r))
         for k in range(n + 1):
             vecs = closed_form_vectors(p, k, 10)
             assert all(type(x) is Fraction for vec in vecs for x in vec)
             assert vecs == _exact_assembly(p, k, 10)
+            for s in (q, p) if r else ():
+                with pytest.raises(ValueError, match=f"this set is at level {r}$"):
+                    recurrence_vectors(s, k, 3)
 
     @pytest.mark.parametrize("p", EXACT_SETS)
     def test_recurrence_solves_its_equations(self, p):

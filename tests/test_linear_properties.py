@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpvi.linear import (ResonanceError, _arithmetic, _back_substitute, _branch_windows,
                          closed_form_vectors, recurrence_vectors)
-from cpvi.params import (ParameterSet, integer_windows, sample_degenerate, sample_generic,
-                         sample_rational_generic)
+from cpvi.params import ParameterSet, integer_windows, sample_generic, sample_rational_generic
 
 RANKS = st.integers(min_value=1, max_value=4)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -159,14 +158,3 @@ def test_integer_branch_windows_are_scaled_windows(n, r, data):
         assert sum(a is None for a in upper) == r
         assert upper == scale(exact_upper) and lower == scale(exact_lower)
         assert all(type(w) is int for w in upper + lower if w is not None)
-
-
-@pytest.mark.parametrize("n,r", [(n, r) for n, r in LEVELS if r])
-def test_recurrence_refuses_a_confluent_set(n, r):
-    p = sample_degenerate(n, r, seed=n + r)
-    alpha = [Fraction(a.real).limit_denominator(97) for a in p.alpha]
-    alpha[-1] += 1 - sum(alpha)
-    for q in (p, ParameterSet(n, tuple(alpha), Fraction(0), r)):
-        for k in range(n + 1):
-            with pytest.raises(ValueError, match=f"this set is at level {r}$"):
-                recurrence_vectors(q, k, 3)
