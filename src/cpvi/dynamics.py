@@ -327,7 +327,9 @@ class _Dual:
     """A value v and its derivative d, a scalar or a row of directions (forward mode:
     Griewank & Walther, *Evaluating Derivatives*, SIAM 2008, ch. 3).  An operand that
     is neither a dual nor a number gives NotImplemented, so numpy applies the
-    operation entrywise; ``abs`` is that of the value, for the maps' magnitude tests."""
+    operation entrywise; ``abs`` is that of the value, for the maps' magnitude tests,
+    and so are ``real`` and ``imag``, for the branch-cut test of the cycle-closing
+    generators (a dual t there carries the Euler term of t^alpha)."""
 
     __slots__ = ("v", "d")
 
@@ -369,6 +371,14 @@ class _Dual:
 
     def __abs__(self):
         return abs(self.v)
+
+    @property
+    def real(self):
+        return self.v.real
+
+    @property
+    def imag(self):
+        return self.v.imag
 
 
 def state_partials(f, x, y):

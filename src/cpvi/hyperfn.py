@@ -20,6 +20,13 @@ There is one level rule, :func:`_level_weights`: the loop's level terms,
 the level prefactors and the level coefficient tables of ``linear`` all
 come from it.  Every sum stops at the one relative tolerance
 ``SERIES_RTOL``.
+
+The term ratio and the level rule each take an index that is a scalar or
+a numpy index array, and are one rule either way: the summation loop
+forms its terms one index at a time, and the coefficient tables
+(:func:`series_coefficients`, ``linear.fundamental_solution``) take a
+whole index range in one array pass.  Their resonance test reads either,
+and reports the first index that fails it.
 """
 
 from __future__ import annotations
@@ -72,8 +79,11 @@ class HGSpec:
         """Degree of i in the term ratio: 0 means radius 1, negative entire."""
         return len(self.upper) - len(self.lower) - 1
 
-    def term_ratio(self, i: int) -> complex:
-        """c_i / c_{i-1} with the t factor left out, for i >= 1."""
+    def term_ratio(self, i):
+        """c_i / c_{i-1} with the t factor left out, for i >= 1: a complex
+        for an integer i, an array of them for an index array.  numpy warns
+        where an array entry overflows, so the table builders call it under
+        ``np.errstate``."""
         # a + (i - 1), not (a + i) - 1, which loses a parameter near 0
         j = i - 1
         num = 1.0 + 0.0j
@@ -83,8 +93,11 @@ class HGSpec:
         for b in self.lower:
             den *= b + j
         den *= i
-        if abs(den) < _DENOM_FLOOR:
-            raise SeriesError(f"vanishing denominator in term {i} (lower parameter resonance)")
+        # a scalar's test is a Python bool, so the summation loop reduces no array
+        small = abs(den) < _DENOM_FLOOR
+        if small is True or small is not False and small.any():
+            raise SeriesError(f"vanishing denominator in term {np.asarray(i)[small][0]} "
+                              "(lower parameter resonance)")
         return num / den
 
 
@@ -171,21 +184,27 @@ def _contiguous_sums(spec: HGSpec, t: complex, windows=()):
     raise SeriesError(f"no convergence within {MAX_TERMS} terms at t = {t}")
 
 
-def _weighted(w: complex, a, b, i: int) -> complex:
+def _weighted(w, a, b, i):
     """w times the level factor f_j(i) = (a + i) / (b + i), or 1 / (b + i)
     for an absorbed window (a None); raises ``SeriesError`` where b + i
-    vanishes.  The one place a level factor is formed."""
+    vanishes.  The one place a level factor is formed, at a scalar i or,
+    entry by entry, at an index array i with w a scalar or an array of its
+    shape."""
     den = b + i
-    if abs(den) < _DENOM_FLOOR:
-        raise SeriesError(f"vanishing denominator in level factor {i} (lower parameter resonance)")
+    small = abs(den) < _DENOM_FLOOR      # tested as in HGSpec.term_ratio
+    if small is True or small is not False and small.any():
+        raise SeriesError(f"vanishing denominator in level factor {np.asarray(i)[small][0]} "
+                          "(lower parameter resonance)")
     return w / den if a is None else w * ((a + i) / den)
 
 
-def _level_weights(w: complex, windows, i: int) -> list:
+def _level_weights(w, windows, i) -> list:
     """[w, w W_1(i), w W_2(i), ...]: w carried through the level factors of
     ``windows`` at index i, one :func:`_weighted` step per level.  At
     i = 0 with w = 1 these are the prefactors W_l(0) of the levels; with w
-    the base coefficient c_i they are row i of the level coefficients."""
+    the base coefficient c_i they are row i of the level coefficients, and
+    with w the base coefficients and i their index array they are the
+    level columns of a whole table."""
     out = [w]
     for a, b in windows:
         w = _weighted(w, a, b, i)
@@ -229,12 +248,14 @@ def eval_series_jet(spec: HGSpec, t: complex, order: int = 2):
 
 
 def series_coefficients(spec: HGSpec, depth: int) -> np.ndarray:
-    """Taylor coefficients c_0..c_depth of the series."""
+    """Taylor coefficients c_0..c_depth of the series: the running product
+    of the term ratios, all formed in one array pass.  Overflow gives inf
+    or nan entries and no warning."""
     coeffs = np.empty(depth + 1, dtype=complex)
     coeffs[0] = 1.0
-    for i in range(1, depth + 1):
-        coeffs[i] = coeffs[i - 1] * spec.term_ratio(i)
-    return coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[1:] = spec.term_ratio(np.arange(1, depth + 1))
+        return coeffs.cumprod(out=coeffs)
 
 
 def _powers(t: complex, count: int) -> np.ndarray:

@@ -109,7 +109,9 @@ def _dual_matrices(p: ParameterSet):
 
 
 def _as_array(rows):
-    return np.array([[complex(v) for v in row] for row in rows], dtype=complex)
+    """Nested rows of complex, float, integer or ``Fraction`` entries as one
+    complex array, each entry converted as ``complex()`` converts it."""
+    return np.array(rows, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -225,28 +227,32 @@ def _back_substitute(rows, rhs, pivot_shift, over, last=None):
     returns (v, den) with solution v / den.
 
     ``over`` (:class:`_Arithmetic`) puts each row's remainder over its
-    pivot: at once (den stays 1), or fraction-free, scaling the other
+    pivot: at once (den stays 1), or fraction-free, scaling the solved
     entries by the pivot so all stay over one denominator, the product of
-    the pivots (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  With
-    ``last`` given, v[-1] is fixed to it and the last row is skipped: rhs
-    0, shift 0 and last 1 give the kernel vector of an A whose last
-    diagonal entry is 0.
+    the pivots (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).  An entry
+    still to solve holds its right-hand side, which is brought over that
+    denominator when its row is reached.  With ``last`` given, v[-1] is
+    fixed to it and the last row is skipped: rhs 0, shift 0 and last 1
+    give the kernel vector of an A whose last diagonal entry is 0.
     """
     m = len(rows)
-    v, den = list(rhs), 1  # entries still to solve hold their right-hand side
+    v, den = list(rhs), 1
     what = "recurrence pivot"
     if last is not None:
         v[m - 1] = last
         what = "diagonal entry (kernel not one-dimensional)"
     for i in range(m - 1 if last is None else m - 2, -1, -1):
-        acc = v[i]
+        # den stays 1 on a set that divides at once, and a complex times 1
+        # can change the sign of a zero part
+        acc = v[i] if den == 1 else v[i] * den
         for j in range(i + 1, m):
             acc = acc - rows[i][j] * v[j]
         pivot = rows[i][i] + pivot_shift
         _require_nonzero(pivot, what, i)
         x, carried = over(acc, pivot)
         if carried != 1:  # a row divided at once scales nothing
-            v = [y * carried for y in v]
+            for j in range(i + 1, m):
+                v[j] *= carried
             den *= carried
         v[i] = x
     return v, den
@@ -564,15 +570,17 @@ def fundamental_solution(p: ParameterSet, k: int, depth: int = 49) -> SeriesSolu
     Gauge component n-l holds the Taylor coefficients of the level-l
     branch function: row i is the base coefficient c_i carried through the
     level factors at i (:func:`hyperfn._level_weights`), the rule that
-    :func:`fundamental_matrix` sums by.  A vanishing lower window raises
-    ``SeriesError``."""
+    :func:`fundamental_matrix` sums by.  The rule runs once, on the whole
+    base column and its index array, and the level columns are stacked in
+    reverse.  A vanishing lower window raises ``SeriesError``."""
     if not 0 <= k <= p.n:
         raise ValueError(f"branch index {k} out of range 0..{p.n}")
     spec, windows = _branch_levels(p, k)
-    base = series_coefficients(spec, depth).tolist()
-    coeffs = np.array([_level_weights(c, windows, i)[::-1] for i, c in enumerate(base)],
-                      dtype=complex)
-    return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)), coeffs=coeffs)
+    base = series_coefficients(spec, depth)
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = _level_weights(base, windows, np.arange(depth + 1))
+    return SeriesSolution(k=k, exponent=complex(branch_exponent(p, k)),
+                          coeffs=np.stack(levels[::-1], axis=1))
 
 
 def fundamental_matrix(p: ParameterSet, t: complex) -> np.ndarray:

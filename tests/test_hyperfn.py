@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cpvi.hyperfn import (
     HGSpec,
     SeriesError,
+    _level_weights,
     eval_series,
     eval_series_jet,
     ode_residual,
@@ -115,6 +117,92 @@ class TestTermRatio:
                 exact /= mpmath.mpc(b)
             exact = complex(exact)
         assert abs(spec.term_ratio(1) - exact) <= 1e-15 * abs(exact)
+
+
+def _scalar_coefficients(spec, depth):
+    """c_0..c_depth as the running product of scalar term ratios."""
+    c = [1.0 + 0.0j]
+    for i in range(1, depth + 1):
+        c.append(c[-1] * spec.term_ratio(i))
+    return np.array(c)
+
+
+INDEX_SPECS = [HGSpec((0.4, 0.9, -0.3), (1.2, 0.8)),
+               HGSpec((0.7,), (1.3,)),
+               HGSpec((0.5 + 0.2j, 1.1, 2.3, -0.7j), (0.9, 1.4 - 0.3j, 0.25)),
+               HGSpec((9.28e-4, 0.6), (1e-3 + 2e-3j,)),
+               HGSpec((), ())]
+RESONANT_SPECS = [HGSpec((0.5, 0.7), (complex(-3, 1e-300),)),   # b + 3 vanishes at term 4
+                  HGSpec((0.5, 0.7), (complex(-3, 1e-300), complex(-6, 1e-300))),  # terms 4 and 7
+                  HGSpec((0.5, 0.7), (1e-200, 1e-200)),          # the product underflows at term 1
+                  HGSpec((0.5,), (complex(0, 1e-300),))]
+LEVEL_WINDOWS = ((0.3 + 0.1j, 1.2), (None, 0.7 - 0.2j), (-0.4, 2.1))
+
+
+def _assert_entrywise(got, want, rtol):
+    assert got.shape == want.shape
+    for g, w in zip(got, want):
+        assert abs(g - w) <= rtol * abs(w), (g, w)
+
+
+class TestIndexArrays:
+    """The term ratio and the level rule on an index array are their scalar
+    calls, entry by entry; the tables built from them keep every raising
+    input's message and stay silent on overflow."""
+
+    @pytest.mark.parametrize("spec", INDEX_SPECS)
+    def test_term_ratio_on_an_index_array(self, spec):
+        idx = np.arange(1, 201)
+        _assert_entrywise(spec.term_ratio(idx), np.array([spec.term_ratio(i) for i in range(1, 201)]),
+                          1e-15)
+
+    def test_level_weights_on_an_index_array(self):
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=61) + 1j * rng.normal(size=61)
+        got = _level_weights(w, LEVEL_WINDOWS, np.arange(61))
+        for i in range(61):
+            want = _level_weights(complex(w[i]), LEVEL_WINDOWS, i)
+            _assert_entrywise(np.array([level[i] for level in got]), np.array(want), 1e-15)
+
+    @pytest.mark.parametrize("spec", INDEX_SPECS)
+    @pytest.mark.parametrize("depth", [0, 1, 60, 200])
+    def test_series_coefficients_are_the_scalar_product(self, spec, depth):
+        got, want = series_coefficients(spec, depth), _scalar_coefficients(spec, depth)
+        assert got[0] == 1 and got.shape == want.shape
+        assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("spec", RESONANT_SPECS)
+    def test_resonant_term_keeps_its_message(self, spec):
+        with pytest.raises(SeriesError) as scalar:
+            _scalar_coefficients(spec, 20)
+        with pytest.raises(SeriesError) as table:
+            series_coefficients(spec, 20)
+        with pytest.raises(SeriesError) as ratios:
+            spec.term_ratio(np.arange(1, 21))
+        assert str(table.value) == str(ratios.value) == str(scalar.value)
+        assert "vanishing denominator in term" in str(scalar.value)
+
+    @pytest.mark.parametrize("windows", [((0.5, complex(-2, 1e-300)),),
+                                         ((None, 0.7), (None, complex(-4, 1e-300)), (0.3, 0.4))])
+    def test_resonant_level_keeps_its_message(self, windows):
+        with pytest.raises(SeriesError) as scalar:
+            for i in range(10):
+                _level_weights(1.0 + 0.0j, windows, i)
+        with pytest.raises(SeriesError) as table:
+            _level_weights(np.ones(10, dtype=complex), windows, np.arange(10))
+        assert str(table.value) == str(scalar.value)
+        assert "vanishing denominator in level factor" in str(scalar.value)
+
+    def test_overflow_stays_silent(self):
+        # the ratios overflow to inf at term 1, and the products then hold nan
+        spec = HGSpec((1e200, 1e200), (1e-100,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = series_coefficients(spec, 12)
+        want = _scalar_coefficients(spec, 12)
+        assert not np.isfinite(got[1:]).any()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert np.array_equal(np.isinf(got), np.isinf(want))
 
 
 class TestOdeResidual:

@@ -13,6 +13,8 @@ from cpvi.linear import (
     LinearSystem,
     ResonanceError,
     SeriesSolution,
+    _as_array,
+    _branch_levels,
     _branch_windows,
     _residue_matrices,
     branch_exponent,
@@ -142,6 +144,17 @@ def _confluence_matrix_error(p, r, eps, t):
     S = _scaling(p.n, r, eps)
     M_eps = eps * np.linalg.inv(S) @ src.coefficient(eps * t) @ S
     return np.linalg.norm(M_eps - target.coefficient(t))
+
+
+class TestAsArray:
+    def test_entries_convert_as_complex_converts_them(self):
+        rows = [[Fraction(1, 3), -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), -0.0j],
+                [0, Fraction(-7, 2), 2 ** 70, complex(1.5, -2.5), Fraction(10 ** 400, 3 * 10 ** 399)]]
+        got = _as_array(rows)
+        want = np.array([[complex(v) for v in row] for row in rows])
+        assert got.dtype == complex and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
 
 
 class TestConfluenceLimit:
@@ -591,6 +604,17 @@ class TestExactSystemResidual:
             assert system_residual(sys, bad, 0.3) > 1e-11 * np.max(np.abs(coeffs[1]))
 
 
+def _per_row_table(p, k, depth):
+    """fundamental_solution's table by the per-row rule: the base column
+    from scalar term ratios, then each row carried through the level
+    factors at its own index."""
+    spec, windows = _branch_levels(p, k)
+    base = [1.0 + 0.0j]
+    for i in range(1, depth + 1):
+        base.append(base[-1] * spec.term_ratio(i))
+    return np.array([_level_weights(c, windows, i)[::-1] for i, c in enumerate(base)])
+
+
 class TestFundamentalSolutions:
     def test_n1_k1_second_component_is_gauss(self):
         p = sample_generic(1, seed=19)
@@ -649,6 +673,57 @@ class TestFundamentalSolutions:
         p = sample_degenerate(n, r, seed=400 + 10 * n + r) if r else sample_generic(n, seed=400 + n)
         for k in range(n + 1):
             self._assert_matches_per_level(p, k)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_is_the_per_row_rule(self, n):
+        for r in range(n + 2):
+            p = (sample_degenerate(n, r, seed=500 + n, margin=0.02) if r
+                 else sample_generic(n, seed=500 + n, margin=0.02))
+            for k in range(n + 1):
+                rows = _per_row_table(p, k, 60)
+                for depth in (0, 1, 60):
+                    got, want = fundamental_solution(p, k, depth).coeffs, rows[:depth + 1]
+                    assert got.shape == want.shape == (depth + 1, n + 1)
+                    scale = np.abs(want).max(axis=0)
+                    assert (np.abs(got - want).max(axis=0) <= 4e-15 * scale).all(), (r, k, depth)
+
+    @pytest.mark.parametrize("alpha", [[0.5, 0.25, 0.25, -0.25, 0.125, 0.125],
+                                       [0.75, 0.25, 0.25, -0.5, 0.125, 0.125],
+                                       [0.5, 0.25, -1.5 + 1e-300j, -0.5, 1.0, 1.25]])
+    def test_table_raises_as_the_per_row_rule(self, alpha):
+        # the first two are the sets of test_zero_lower_window_raises_series_error;
+        # in the third, b_1 = -2 + 1e-300j of branch 1 fails the level factor at
+        # index 2 and, from depth 3 on, the term ratio at term 3
+        p = pset(alpha)
+        messages = set()
+        for k in range(p.n + 1):
+            for depth in (0, 1, 2, 3, 10):
+                try:
+                    _per_row_table(p, k, depth)
+                except SeriesError as exc:
+                    messages.add(str(exc))
+                    with pytest.raises(SeriesError) as table:
+                        fundamental_solution(p, k, depth)
+                    assert str(table.value) == str(exc)
+                else:
+                    fundamental_solution(p, k, depth)
+        assert messages
+
+    @pytest.mark.parametrize("alpha,k", [
+        ([1e200 + 1j, 1e200 + 1j, -2e200 - 2j, 1.0], 0),          # the base column, at term 1
+        ([0.5, 0.5 - 1e-200j, -1e200 + 1e-200j, 1e200], 1),       # a_1 / b_1, at index 0
+    ])
+    def test_table_overflow_stays_silent(self, alpha, k):
+        # the overflow is where the per-row rule's is; value() reports it
+        p = pset(alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = fundamental_solution(p, k, depth=6)
+        want = _per_row_table(p, k, 6)
+        assert not np.isfinite(want).all()
+        assert np.array_equal(np.isfinite(sol.coeffs), np.isfinite(want))
+        with pytest.raises(SeriesError, match="not finite"):
+            sol.value(0.5)
 
     def test_columns_match_per_level_assembly_small_window(self):
         p = sample_generic(6, 567, margin=0.02)

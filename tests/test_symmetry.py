@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpvi.dynamics import (
+    _Dual,
     constraint_value,
     integrate,
     pushforward_field,
@@ -119,6 +120,36 @@ class TestGenerators:
     def test_branch_cut_rejected_for_cycle_generators(self, i, t):
         with pytest.raises(ValueError, match="branch cut"):
             apply_generator(i, self.x, self.y, self.p, t)
+
+
+class TestDualTime:
+    """A dual t through the cycle-closing generators: the values are those
+    of the plain t, and the t-derivative of the scaling t^(-alpha_0) or
+    t^alpha_{2n+1} is its Euler term, lambda'/lambda = -+alpha/t."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_values_match_plain_time(self, n):
+        p = sample_generic(n, seed=3)
+        x, y = sample_regular_state(n, np.random.default_rng(n), 0.4)
+        for i in (0, 2 * n + 1):
+            xd, yd, pd = apply_generator(i, x, y, p, _Dual(0.4, 1))
+            xs, ys, ps = apply_generator(i, x, y, p, 0.4)
+            assert [v.v for v in xd] == list(xs) and [v.v for v in yd] == list(ys)
+            assert pd == ps
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_derivative_is_the_euler_term(self, n):
+        p = sample_generic(n, seed=3)
+        x, y = sample_regular_state(n, np.random.default_rng(n), 0.4)
+        t = 0.4
+        xd, yd, _ = apply_generator(2 * n + 1, x, y, p, _Dual(t, 1))
+        euler = p.alpha[2 * n + 1] / t
+        for got, want in [*((v.d, euler * v.v) for v in xd), *((v.d, -euler * v.v) for v in yd)]:
+            assert abs(got - want) <= 1e-14 * abs(want)
+        # generator 0 scales x by t^(-alpha_0); its y also moves with t
+        xd, _, _ = apply_generator(0, x, y, p, _Dual(t, 1))
+        for v in xd:
+            assert abs(v.d + p.alpha[0] / t * v.v) <= 1e-14 * abs(v.d)
 
 
 class TestRelations:
