@@ -95,7 +95,7 @@ class HGSpec:
         den *= i
         # a scalar's test is a Python bool, so the summation loop reduces no array
         small = abs(den) < _DENOM_FLOOR
-        if small is True or small is not False and small.any():
+        if small is not False and (small is True or small.any()):
             raise SeriesError(f"vanishing denominator in term {np.asarray(i)[small][0]} "
                               "(lower parameter resonance)")
         return num / den
@@ -192,7 +192,7 @@ def _weighted(w, a, b, i):
     shape."""
     den = b + i
     small = abs(den) < _DENOM_FLOOR      # tested as in HGSpec.term_ratio
-    if small is True or small is not False and small.any():
+    if small is not False and (small is True or small.any()):
         raise SeriesError(f"vanishing denominator in level factor {np.asarray(i)[small][0]} "
                           "(lower parameter resonance)")
     return w / den if a is None else w * ((a + i) / den)
