@@ -10,13 +10,14 @@ with A0 upper triangular and A1 of rank one; the confluent levels replace
 A1 / (1 - t) by a constant 0/1 matrix.  One residue-matrix rule builds the
 pair at every level r = 0..n+1 (:func:`_residue_matrices`), from window
 sums in either arithmetic: complex or Fraction entries, or the integer
-windows of the exact recurrence.  The dual (momentum-side) system is the
-adjoint -A^T of the level-0 pair except for its row n.  This module also
-builds the cyclic gauge transforms and the three independent routes to
-the series solutions at t = 0:
+windows of the exact recurrence, which give d times the pair.  The dual
+(momentum-side) system is the adjoint -A^T of the level-0 pair except for
+its row n.  This module also builds the cyclic gauge transforms and the
+three independent routes to the series solutions at t = 0:
 
-* the matrix two-term recurrence of the level-0 system, solved exactly
-  by back substitution on the triangular structure;
+* the matrix two-term recurrence of the set's own level-r system in the
+  original frame, solved exactly by back substitution on the triangular
+  structure;
 * the closed-form coefficient vectors, products of rising factorials of
   cyclic window sums;
 * assembly from hypergeometric series with the branch-dependent
@@ -51,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -73,19 +74,20 @@ _PIVOT_FLOOR = 1e-300
 # residue matrices
 
 
-def _residue_matrices(n: int, r: int, window):
+def _residue_matrices(n: int, r: int, window, unit=1):
     """Nested-list residue matrices (A0, A1) of the level-r system, r = 0..n+1.
 
     ``window(k, l)`` is the window sum alpha_k + ... + alpha_{k+l}: the
     type-preserving :meth:`ParameterSet.partial_sum`, or d times it in
-    integers (:func:`params.integer_windows`).  A0 has -window(2i+2,
-    2n-2i-1) on its diagonal; a chain row i < r-1 has a 1 right of the
-    diagonal, and every other row holds alpha_{2j+1} in each column j > i.
-    At level 0 every row of A1 is (alpha_{2j+1})_j; at r >= 1 the confluent
-    A1 has a 1 in column 0 of each row i >= r-1.
+    integers (:func:`params.integer_windows`), and ``unit`` is 1 in the
+    window's scale: 1, or d.  A0 has -window(2i+2, 2n-2i-1) on its
+    diagonal; a chain row i < r-1 has a unit right of the diagonal, and
+    every other row holds alpha_{2j+1} in each column j > i.  At level 0
+    every row of A1 is (alpha_{2j+1})_j; at r >= 1 the confluent A1 has a
+    unit in column 0 of each row i >= r-1.
     """
     zero = window(0, -1)      # the empty window: 0 in the window's arithmetic
-    one = zero + 1
+    one = zero + unit
     odd = [window(2 * j + 1, 0) for j in range(n + 1)]
     A0 = [[zero] * (n + 1) for _ in range(n + 1)]
     for i in range(n):
@@ -156,23 +158,21 @@ class LinearSystem:
 
 
 def build_fuchsian(p: ParameterSet) -> LinearSystem:
-    """Position-side Fuchsian system of the generic specialisation."""
-    A0, A1 = _residue_matrices(p.n, 0, p.partial_sum)
-    return LinearSystem(p.n, _as_array(A0), _as_array(A1), "fuchsian", p, gauge=p.n)
+    """Position-side system at the parameter set's own level r =
+    ``p.degeneracy``: the Fuchsian system of the generic specialisation at
+    r = 0 and the confluent one at r >= 1."""
+    A0, A1 = _residue_matrices(p.n, p.degeneracy, p.partial_sum)
+    kind = "confluent" if p.degeneracy else "fuchsian"
+    return LinearSystem(p.n, _as_array(A0), _as_array(A1), kind, p, gauge=p.n)
+
+
+build_confluent = build_fuchsian  # one builder reads the level; both names call it
 
 
 def build_dual(p: ParameterSet) -> LinearSystem:
     """Momentum-side system of the dual specialisation."""
     A0, A1 = _dual_matrices(p)
     return LinearSystem(p.n, _as_array(A0), _as_array(A1), "fuchsian", p, gauge=p.n, dual=True)
-
-
-def build_confluent(p: ParameterSet) -> LinearSystem:
-    """System at the parameter set's own level r: confluent for r >= 1, and
-    at r = 0 the Fuchsian system of :func:`build_fuchsian`."""
-    A0, A1 = _residue_matrices(p.n, p.degeneracy, p.partial_sum)
-    kind = "confluent" if p.degeneracy else "fuchsian"
-    return LinearSystem(p.n, _as_array(A0), _as_array(A1), kind, p, gauge=p.n)
 
 
 def branch_exponent(p: ParameterSet, k: int):
@@ -222,7 +222,7 @@ def _require_nonzero(v, what, row=None):
         raise ResonanceError(f"vanishing {what}{where}")
 
 
-def _back_substitute(rows, rhs, pivot_shift, over, last=None):
+def _back_substitute(rows, rhs, pivot_shift, over, last=None, first=0):
     """Solve (A + pivot_shift I) v = rhs for upper-triangular nested-list A:
     returns (v, den) with solution v / den.
 
@@ -233,7 +233,9 @@ def _back_substitute(rows, rhs, pivot_shift, over, last=None):
     still to solve holds its right-hand side, which is brought over that
     denominator when its row is reached.  With ``last`` given, v[-1] is
     fixed to it and the last row is skipped: rhs 0, shift 0 and last 1
-    give the kernel vector of an A whose last diagonal entry is 0.
+    give the kernel vector of an A whose last diagonal entry is 0.  Only
+    rows ``first``..m-1 are solved, and the entries of ``rhs`` above them
+    and past m stay as given.  A vanishing pivot is named by its row index.
     """
     m = len(rows)
     v, den = list(rhs), 1
@@ -241,7 +243,7 @@ def _back_substitute(rows, rhs, pivot_shift, over, last=None):
     if last is not None:
         v[m - 1] = last
         what = "diagonal entry (kernel not one-dimensional)"
-    for i in range(m - 1 if last is None else m - 2, -1, -1):
+    for i in range(m - 1 if last is None else m - 2, first - 1, -1):
         # den stays 1 on a set that divides at once, and a complex times 1
         # can change the sign of a zero part
         acc = v[i] if den == 1 else v[i] * den
@@ -287,54 +289,53 @@ def _arithmetic(p: ParameterSet) -> _Arithmetic:
 
 
 def recurrence_vectors(p: ParameterSet, k: int, depth: int):
-    """Gauge-frame coefficient vectors from the level-0 matrix recurrence
-    (:func:`_level_zero_recurrence`).
+    """Gauge-frame coefficient vectors of branch k from the matrix
+    recurrence of the set's own level-r system (r = ``p.degeneracy``),
+    solved in the original frame by exact back substitution
+    (:func:`_back_substitute`).
 
-    A confluent set (``p.degeneracy`` >= 1) raises ``ValueError``: this is
-    the level-0 recurrence, and :func:`closed_form_vectors` serves every level.
+    With rho = A0[k][k], the branch exponent, u_0 spans the kernel of
+    A0 - rho I on rows and columns 0..k, with u_0[k] = 1 and zeros below,
+    and the two cases of :func:`recurrence_residual` give the rest:
+
+        (A0 - (rho+i) I) u_i = (A0 - A1 - (rho+i-1) I) u_{i-1}   at r = 0,
+        (A0 - (rho+i) I) u_i = -A1 u_{i-1}                       at r >= 1.
+
+    Gauge row i is (u_{i+1}[k+1:], u_i[:k+1]), the inverse of
+    :meth:`SeriesSolution.original_coeffs`, so the last step solves only
+    rows k+1..n.  A ``ResonanceError`` names its row in the original frame.
+    In the set's arithmetic (:func:`_arithmetic`) the matrices, rho and i
+    are d times theirs: complex entries (d = 1) divide by each pivot at
+    once, and a Fraction set keeps each u_i as an integer vector over one
+    denominator, reduced by one gcd per step, and makes each entry one
+    Fraction.
     """
-    if p.degeneracy:
-        raise ValueError(f"the recurrence solves the level-0 system; "
-                         f"this set is at level {p.degeneracy}")
-    return _level_zero_recurrence(p, k, depth)
-
-
-def _level_zero_recurrence(p: ParameterSet, k: int, depth: int):
-    """Gauge-frame coefficient vectors of the level-0 system of p's alphas,
-    whatever p's level.
-
-    Solves A0 x_0 = 0 and (A0 - (i+1) I) x_{i+1} = (A0 - A1 - i I) x_i by
-    exact back substitution (:func:`_back_substitute`), with the level-0
-    residue matrices of ``p.shifted(2k+2)``, read as p's windows 2k+2
-    slots on.  In the set's arithmetic (:func:`_arithmetic`) the matrices
-    are d A0 and d A1, so the solve runs on d A0 - d(i+1) I with
-    right-hand side (d A0 - d A1 - d i I) x_i.  Complex entries (d = 1)
-    divide by each pivot at once; a Fraction set keeps each x_i as an
-    integer vector over one denominator, reduced by one gcd per step, and
-    makes each entry one Fraction.
-    """
-    n = p.n
-    d, read, over, settle, entries = _arithmetic(p)
-    shift = 2 * k + 2
-    window = lambda first, length: read(first + shift, length)
-    A0, A1 = _residue_matrices(n, 0, window)
-    # A0 is upper triangular: below its diagonal A0 - A1 is just -A1
-    step = [[A0[row][col] - A1[row][col] if col >= row else -A1[row][col]
-             for col in range(n + 1)] for row in range(n + 1)]
-    zero = window(0, -1)
-    x, den = _back_substitute(A0, [zero] * (n + 1), 0, over, last=zero + 1)
-    steps = [(x, den)]
-    for i in range(depth):
+    n, r = p.n, p.degeneracy
+    d, window, over, settle, entries = _arithmetic(p)
+    A0, A1 = _residue_matrices(n, r, window, d)
+    rho, zero = A0[k][k], window(0, -1)
+    # the right-hand side is step u_{i-1} + lag i u_{i-1}: at r = 0 step is
+    # A0 - A1 - (rho-1) I and lag is -1; at r >= 1 they are -A1 and 0
+    fuchsian = 0 if r else 1
+    step = [[fuchsian * a - b for a, b in zip(*rows)] for rows in zip(A0, A1)]
+    for row in range(n + 1):
+        step[row][row] -= fuchsian * (rho - d)
+    lag = -fuchsian * d
+    u, den = _back_substitute(A0[:k + 1], [zero] * (n + 1), -rho, over, last=zero + 1)
+    vecs = []
+    for i in range(1, depth + 2):
         rhs = []
         for row, coeffs in enumerate(step):
-            acc = (-d * i) * x[row]
-            for a, v in zip(coeffs, x):
+            acc = (lag * i) * u[row]
+            for a, v in zip(coeffs, u):
                 acc = acc + a * v
             rhs.append(acc)
-        x, solved = _back_substitute(A0, rhs, -d * (i + 1), over)
-        x, den = settle(x, den * solved)
-        steps.append((x, den))
-    return [entries(x, lambda: repeat(q)) for x, q in steps]
+        x, solved = _back_substitute(A0, rhs, -(rho + d * i), over,
+                                     first=0 if i <= depth else k + 1)
+        x, q = settle(x, den * solved)
+        vecs.append(entries(x[k + 1:] + u[:k + 1], lambda: [q] * (n - k) + [den] * (k + 1)))
+        u, den = x, q
+    return vecs
 
 
 def _closed_form_components(heads, tail, prev, one):
@@ -466,24 +467,19 @@ class SeriesSolution:
 
 
 def solve_recurrence(sys_k: LinearSystem, depth: int) -> SeriesSolution:
-    """Analytic-branch series of a gauged system via the matrix recurrence.
-
-    The leading vector spans the kernel of A0, normalised so its last
-    entry is 1 (the closed form's value); each following vector solves an
-    upper-triangular system exactly by back substitution.  The system is
-    the level-0 one whatever its set's level (:func:`build_fuchsian` and
-    :func:`gauge_transform` read level 0), and so is the recurrence.
-    """
+    """Series of branch ``sys_k.gauge`` of the level-r system of
+    ``sys_k.params`` (:func:`recurrence_vectors`), whether the system is
+    the plain one (:func:`build_fuchsian`, gauge n) or a gauged image
+    (:func:`gauge_transform`).  A dual system raises ``ValueError``."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if sys_k.kind != "fuchsian" or sys_k.dual:
-        raise ValueError("recurrence defined for position-side Fuchsian systems")
+    if sys_k.dual:
+        raise ValueError("recurrence defined for position-side systems")
     k = sys_k.gauge
-    vecs = _level_zero_recurrence(sys_k.params, k, depth)
     return SeriesSolution(
         k=k,
         exponent=complex(branch_exponent(sys_k.params, k)),
-        coeffs=_as_array(vecs),
+        coeffs=_as_array(recurrence_vectors(sys_k.params, k, depth)),
     )
 
 

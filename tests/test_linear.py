@@ -121,9 +121,14 @@ class TestBuilders:
         assert np.allclose(sys.A1[:, 1:], 0.0)
 
     def test_confluent_at_level_zero_is_fuchsian(self):
-        sys, want = build_confluent(P_N1), build_fuchsian(P_N1)
-        assert sys.kind == want.kind == "fuchsian"
-        assert sys.A0.tobytes() == want.A0.tobytes() and sys.A1.tobytes() == want.A1.tobytes()
+        """One builder reads the set's level: Fuchsian at r = 0, confluent above."""
+        assert build_confluent is build_fuchsian
+        assert build_fuchsian(P_N1).kind == "fuchsian"
+        for n in (1, 2, 3):
+            for r in range(1, n + 2):
+                sys = build_fuchsian(sample_degenerate(n, r, seed=70 + 10 * n + r))
+                assert sys.kind == "confluent"
+                assert np.array_equal(sys.A1[r - 1:, 0], np.ones(n + 2 - r))
 
     def test_json_shape(self):
         data = system_to_json(build_fuchsian(P_N1))
@@ -254,15 +259,16 @@ class TestRecurrence:
             assert np.max(np.abs(rec.coeffs - cf.coeffs) / scale) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_solves_the_level_zero_system_of_a_confluent_set(self, n):
-        """build_fuchsian reads level 0 whatever the set's level, and the
-        recurrence solves the system it is given."""
+    def test_solves_the_level_r_system_of_a_confluent_set(self, n):
+        """build_fuchsian reads the set's level, so a confluent set has no
+        cyclic gauge image, and the recurrence solves its level-r system."""
         for r in range(1, n + 2):
             p = sample_degenerate(n, r, seed=60 + 10 * n + r)
             sys = build_fuchsian(p)
             for k in range(n + 1):
-                sol = solve_recurrence(gauge_transform(sys, k), depth=12)
-                assert recurrence_residual(sys, sol) < 1e-13
+                with pytest.raises(ValueError, match="Fuchsian system"):
+                    gauge_transform(sys, k)
+            assert recurrence_residual(sys, solve_recurrence(sys, depth=12)) < 1e-13
 
     def test_step_matrix_ranks(self):
         p = sample_generic(3, seed=77)
@@ -301,12 +307,21 @@ def _set_with_window(n, start, length, value, inside, outside, seed=5):
     return ParameterSet(n, tuple(alpha), Fraction(0), 0)
 
 
+def _original_row(n, k, row):
+    """Original-frame row of gauge-frame row ``row`` of branch k, the frame
+    in which the recurrence names a vanishing pivot: gauge row c is
+    original row c + k + 1, cyclically (:meth:`SeriesSolution.original_coeffs`)."""
+    return (row + k + 1) % (n + 1)
+
+
 class TestResonance:
     # For n = 2, k = 0 the window alpha_0 + alpha_1 is the head denominator
     # v_0, the tail denominator r_2 and minus the gauge diagonal entry of
     # row 1; alpha_4 + ... + alpha_1 is v_1, r_1 and minus that of row 0.
     # A window sum -d makes a rising factorial vanish from order d + 1 and
-    # a recurrence pivot (the kernel's diagonal for d = 0) vanish at step d.
+    # the pivot of gauge row ``row`` vanish at gauge step d: the kernel's
+    # diagonal for d = 0 in that frame.  The recurrence runs in the
+    # original frame and names the row there.
     @pytest.mark.parametrize("start,length,row", [(0, 1, 1), (4, 3, 0)])
     @pytest.mark.parametrize("d", [0, 1, 2])
     def test_nonpositive_integer_window_raises(self, start, length, row, d):
@@ -314,14 +329,14 @@ class TestResonance:
         assert p.partial_sum(start, length) == -d
         with pytest.raises(ResonanceError, match="head window"):
             closed_form_vectors(p, 0, d)
-        with pytest.raises(ResonanceError, match=f"row {row}"):
+        with pytest.raises(ResonanceError, match=f"row {_original_row(2, 0, row)}$"):
             recurrence_vectors(p, 0, d)
         if d:
             assert closed_form_vectors(p, 0, d - 1) == recurrence_vectors(p, 0, d - 1)
 
     # The same for the other branches: at branch k the head denominators are
-    # v_0 = alpha_{2k} + alpha_{2k+1} (row 1) and v_1 = alpha_{2k-2} + ...
-    # + alpha_{2k+1} (row 0), again the tail denominators r_2 and r_1.
+    # v_0 = alpha_{2k} + alpha_{2k+1} (gauge row 1) and v_1 = alpha_{2k-2} +
+    # ... + alpha_{2k+1} (gauge row 0), again the tail denominators r_2 and r_1.
     @pytest.mark.parametrize("k,start,length,row", [(1, 2, 1, 1), (1, 0, 3, 0),
                                                     (2, 4, 1, 1), (2, 2, 3, 0)])
     @pytest.mark.parametrize("d", [0, 1, 2])
@@ -331,7 +346,7 @@ class TestResonance:
         assert p.partial_sum(start, length) == -d
         with pytest.raises(ResonanceError, match="head window"):
             closed_form_vectors(p, k, d)
-        with pytest.raises(ResonanceError, match=f"row {row}"):
+        with pytest.raises(ResonanceError, match=f"row {_original_row(2, k, row)}$"):
             recurrence_vectors(p, k, d)
         if d:
             assert closed_form_vectors(p, k, d - 1) == recurrence_vectors(p, k, d - 1)
@@ -432,8 +447,9 @@ class TestExactOracles:
 
     @pytest.mark.parametrize("n,r", [(n, r) for n in (1, 2, 3, 4) for r in range(n + 2)])
     def test_closed_form_is_exact_assembly_at_every_level(self, n, r):
-        """The closed form serves every level; the recurrence refuses a
-        confluent set, complex or Fraction."""
+        """The closed form and the recurrence serve every level: equal to
+        the exact assembly on the Fraction copy, and to 1e-12 of each other
+        on the complex set."""
         q = sample_degenerate(n, r, seed=500 + 10 * n + r)
         p = _rational_copy(q)
         assert p.degeneracy == r and all(p.alpha[2 * i] == 0 for i in range(r))
@@ -441,9 +457,12 @@ class TestExactOracles:
             vecs = closed_form_vectors(p, k, 10)
             assert all(type(x) is Fraction for vec in vecs for x in vec)
             assert vecs == _exact_assembly(p, k, 10)
-            for s in (q, p) if r else ():
-                with pytest.raises(ValueError, match=f"this set is at level {r}$"):
-                    recurrence_vectors(s, k, 3)
+            rec = recurrence_vectors(p, k, 10)
+            assert all(type(x) is Fraction for vec in rec for x in vec)
+            assert rec == vecs
+            cf = np.array(closed_form_vectors(q, k, 10))
+            err = np.abs(np.array(recurrence_vectors(q, k, 10)) - cf)
+            assert np.max(err / np.max(np.abs(cf), axis=0)) < 1e-12
 
     @pytest.mark.parametrize("p", EXACT_SETS)
     def test_recurrence_solves_its_equations(self, p):
@@ -879,6 +898,7 @@ class TestConfluentSolutions:
             for t in (0.1, 0.45):
                 assert system_residual(sys, sol, t) < 1e-9
             assert recurrence_residual(sys, closed_form_coeffs(p, k, 12)) < 1e-13
+        assert recurrence_residual(sys, solve_recurrence(sys, 12)) < 1e-13
 
     def test_confluent_component_operators(self):
         p = sample_degenerate(2, 1, seed=220)

@@ -1,6 +1,7 @@
 """Property tests: closed-form coefficient vectors against the recurrence,
-the back substitution that the recurrence solves by, and the branch
-windows that the closed form and the assembly share."""
+the back substitution that the recurrence solves by, the branch windows
+that the closed form and the assembly share, and the residue matrices
+that the recurrence reads in integers."""
 
 import cmath
 import math
@@ -13,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from cpvi.linear import (ResonanceError, _arithmetic, _back_substitute, _branch_windows,
-                         closed_form_vectors, recurrence_vectors)
+                         _residue_matrices, closed_form_vectors, recurrence_vectors)
 from cpvi.params import ParameterSet, integer_windows, sample_generic, sample_rational_generic
 
 RANKS = st.integers(min_value=1, max_value=4)
@@ -158,3 +159,15 @@ def test_integer_branch_windows_are_scaled_windows(n, r, data):
         assert sum(a is None for a in upper) == r
         assert upper == scale(exact_upper) and lower == scale(exact_lower)
         assert all(type(w) is int for w in upper + lower if w is not None)
+
+
+@pytest.mark.parametrize("n,r", LEVELS)
+@settings(CASES, max_examples=10)
+@given(data=st.data())
+def test_integer_residue_matrices_are_scaled_matrices(n, r, data):
+    p = level_fraction_set(data, n, r)
+    d, window = integer_windows(p)
+    exact = _residue_matrices(n, r, p.partial_sum)
+    for scaled, want in zip(_residue_matrices(n, r, window, d), exact):
+        assert scaled == [[d * a for a in row] for row in want]
+        assert all(type(a) is int for row in scaled for a in row)
